@@ -1,9 +1,9 @@
 //! Rendering an [`AuditReport`] as human-readable diagnostics or as the
 //! machine-readable JSON written to `AUDIT_report.json`.
 //!
-//! The serde shim vendored in this workspace is inert, so the JSON here is
-//! emitted by hand — the format is small, flat, and pinned by golden tests
-//! (stable field order, arrays sorted by file/line/rule).
+//! The JSON here is emitted by hand — the format is small, flat, and
+//! pinned by golden tests (stable field order, arrays sorted by
+//! file/line/rule).
 
 use crate::engine::AuditReport;
 use crate::rules::ALL_RULES;

@@ -1,11 +1,10 @@
 //! Nondeterministic tree automata (Definition 50).
 
 use crate::tree::{LabeledTree, TreeShape};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// The right-hand side of a transition `(q, σ) → …`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransitionTarget {
     /// `(q, σ) → ∅`: the node is a leaf.
     Leaf,
@@ -17,7 +16,7 @@ pub enum TransitionTarget {
 
 /// A nondeterministic tree automaton `A = (S, Σ, Δ, s₀)` over binary trees
 /// (Definition 50). States and labels are dense indices.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct TreeAutomaton {
     num_states: usize,
     num_labels: usize,
@@ -26,7 +25,6 @@ pub struct TreeAutomaton {
     /// Lazily built lookup tables. A `OnceLock` (not a `RefCell`) so a
     /// fully built automaton is `Sync`: the approximate counter shares it
     /// read-only across the runtime's worker threads.
-    #[serde(skip)]
     index: std::sync::OnceLock<TransitionIndex>,
 }
 

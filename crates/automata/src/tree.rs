@@ -1,9 +1,7 @@
 //! Binary tree shapes and labelled trees (`Trees₂[Σ]`, Definition 49).
 
-use serde::{Deserialize, Serialize};
-
 /// A rooted tree in which every node has at most two (ordered) children.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeShape {
     children: Vec<Vec<usize>>,
     root: usize,
@@ -136,7 +134,7 @@ impl TreeShape {
 
 /// A labelled binary tree `(T, ψ) ∈ Trees₂[Σ]`: a shape plus one label per
 /// node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabeledTree {
     /// The underlying shape `T`.
     pub shape: TreeShape,

@@ -9,7 +9,6 @@
 //! the recorded `available_parallelism` makes the output interpretable.
 
 use cqc_core::Engine;
-use cqc_runtime::{split_seed, Runtime};
 use cqc_workloads::{erdos_renyi, footnote4_star_query, graph_database, star_query};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -95,38 +94,6 @@ fn bench(c: &mut Criterion) {
             &threads,
             |b, _| b.iter(|| prepared.count(&cq_db).unwrap().estimate),
         );
-    }
-
-    // Persistent pool vs per-call scoped spawn: the dispatch tax. A small
-    // call (64 cheap items) is dominated by dispatch — the scoped runtime
-    // pays a thread spawn per worker per call, the pool only a mutex lock
-    // plus a wakeup — which is why the oracle's `work_proxy` serial cutoff
-    // dropped from 2048 to 256. A large call amortises dispatch either
-    // way, so the pool must show parity there. Results are asserted
-    // identical across the two paths (same seed-split streams).
-    let pooled = Runtime::new(4);
-    let scoped = Runtime::new(4).without_pool();
-    let small = |rt: &Runtime| rt.par_map_n(64, |i| split_seed(0xAB, i as u64)).len();
-    let large = |rt: &Runtime| {
-        rt.par_map_n(8192, |i| {
-            (0..64).fold(split_seed(0xCD, i as u64), split_seed)
-        })
-        .len()
-    };
-    assert_eq!(
-        pooled.par_map_n(64, |i| split_seed(0xAB, i as u64)),
-        scoped.par_map_n(64, |i| split_seed(0xAB, i as u64)),
-        "pool and scoped paths must agree"
-    );
-    for (name, rt) in [("pool", pooled), ("scoped_spawn", scoped)] {
-        group.bench_with_input(
-            BenchmarkId::new("small_call_dispatch_tax", name),
-            &rt,
-            |b, rt| b.iter(|| small(rt)),
-        );
-        group.bench_with_input(BenchmarkId::new("large_call_parity", name), &rt, |b, rt| {
-            b.iter(|| large(rt))
-        });
     }
 
     group.finish();

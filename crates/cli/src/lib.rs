@@ -114,8 +114,6 @@ COMMON OPTIONS:
     --threads N           worker threads; 0 = auto (COUNTING_THREADS env, else
                           available parallelism). Estimates are bit-identical
                           for any thread count (deterministic seed-splitting)
-    --workers N           cap the persistent worker pool width (overrides the
-                          COUNTING_POOL_WORKERS env; never changes estimates)
     --method M            auto | fpras | fptras | exact   (count only, default auto)
     --repeat N            evaluate each database N times reusing the prepared
                           plan, reporting amortised timings (count only, default 1)
@@ -243,9 +241,6 @@ GENERATE OPTIONS:
 /// return the textual report it would print.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let args = Args::parse(argv)?;
-    // `--workers` is a COMMON option: consume and apply it before command
-    // dispatch so every command (including `classify`) accepts it.
-    common::apply_workers(&args)?;
     let command = args.command.clone().unwrap_or_else(|| "help".to_string());
     // `--trace PATH` turns the tracer on for the traceable commands before
     // dispatch, so spans opened anywhere in the run are captured; the
@@ -342,22 +337,6 @@ pub(crate) mod common {
         std::fs::write(path, trace.to_ndjson())
             .map_err(|e| CliError::Io(format!("cannot write `{path}`: {e}")))?;
         Ok(events)
-    }
-
-    /// Apply `--workers N`: cap the persistent worker pool width for the
-    /// rest of the process (overrides `COUNTING_POOL_WORKERS`). Like the
-    /// thread count, the cap never changes estimates — only wall times.
-    pub fn apply_workers(args: &Args) -> Result<(), CliError> {
-        if let Some(raw) = args.value_of("workers") {
-            let workers: usize = raw.parse().map_err(|e| {
-                CliError::Usage(format!("invalid value `{raw}` for `--workers`: {e}"))
-            })?;
-            if workers == 0 {
-                return Err(CliError::Usage("`--workers` must be at least 1".into()));
-            }
-            cqc_runtime::pool::set_worker_cap(workers);
-        }
-        Ok(())
     }
 
     /// Build the approximation configuration from the common options.

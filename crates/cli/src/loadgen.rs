@@ -9,7 +9,7 @@
 //!
 //! The per-run transcript (response lines in request order) is the
 //! determinism witness: two runs with the same `--seed` produce
-//! byte-identical transcripts whatever `--connections`, `--workers`,
+//! byte-identical transcripts whatever `--connections`, `--threads`,
 //! `--shards` or `--protocol` say. `--transcript PATH` saves it for
 //! comparison; CI diffs two runs on every push.
 

@@ -11,7 +11,7 @@
 //!
 //! Work item `i` of a request always runs under the derived seed
 //! `split_seed(seed, i)`, so responses are byte-identical for every shard
-//! count and pool width — `--shards`/`--workers` tune wall time only.
+//! count and thread count — `--shards`/`--threads` tune wall time only.
 
 use crate::common::approx_config;
 use crate::{Args, CliError};

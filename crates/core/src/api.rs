@@ -33,7 +33,7 @@ pub struct ApproxConfig {
     /// **never** affects estimates — only wall-clock time; see `cqc-runtime`.
     pub threads: usize,
     /// Worker pool the runtime dispatches on (`None` = the process-wide
-    /// pool, sized by `COUNTING_POOL_WORKERS`). Like the thread count, the
+    /// pool, sized like `threads = 0`). Like the thread count, the
     /// pool and its width never affect estimates, only wall times; the
     /// determinism matrix in `tests/parallel_determinism.rs` runs engines
     /// against pools of width 1, 2 and 8 and requires bit-identical

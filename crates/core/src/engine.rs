@@ -153,7 +153,8 @@ impl EngineBuilder {
     }
 
     /// Dispatch the parallel runtime on the given persistent worker pool
-    /// instead of the process-wide one (sized by `COUNTING_POOL_WORKERS`).
+    /// instead of the process-wide one (sized like an automatic thread
+    /// count: `COUNTING_THREADS`, else the available parallelism).
     /// The pool — like the thread count — never affects estimates, only
     /// wall times; mainly useful for tests and embedders that want
     /// isolated pool sizing.

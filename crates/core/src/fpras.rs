@@ -148,14 +148,12 @@ pub fn fpras_count_with_plan(
     let (automaton, states) =
         build_automaton_in(query, &plan.a_structure, db, &plan.nice, &plan.bags)?;
     let tree_nodes = plan.shape.num_nodes();
-    let build_wall = start.elapsed();
 
     // Step 4: count the accepted labellings of the fixed shape.
     // The exact subset-DP is used when the state space is small; otherwise the
     // sampling-based counter (Lemma 51 / ACJR) takes over, fanned out over
     // the runtime with per-(node, state) seed-split RNG streams — the
     // estimate is bit-identical for any thread count.
-    let count_start = Stopwatch::start();
     let (estimate, exact) = if states <= config.fpras_exact_state_budget {
         (
             count_labelings_fixed_shape(&automaton, &plan.shape) as f64,
@@ -174,7 +172,6 @@ pub fn fpras_count_with_plan(
             false,
         )
     };
-    let count_wall = count_start.elapsed();
 
     let mut report = if exact {
         EstimateReport::exact_value(estimate, CountMethod::Fpras)
@@ -187,7 +184,6 @@ pub fn fpras_count_with_plan(
         fhw: Some(plan.fhw),
         wall: start.elapsed(),
         threads_used: runtime.threads(),
-        phase_walls: vec![("build_automaton", build_wall), ("count", count_wall)],
         ..Telemetry::default()
     };
     Ok(report)

@@ -164,7 +164,6 @@ pub fn fptras_count_with_scratch(
     }
     let b_structure = build_b_structure(query, db).map_err(CoreError::incompatible_database)?;
     scratch.ensure_relaxed(query.disequalities().len(), db.universe_size());
-    let build_wall = start.elapsed();
 
     let relaxed = scratch
         .relaxed
@@ -183,11 +182,9 @@ pub fn fptras_count_with_scratch(
     .with_runtime(runtime)
     .with_relaxed_colouring(relaxed);
 
-    let count_start = Stopwatch::start();
     let dlm = DlmConfig::new(config.epsilon, config.delta);
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x9E37));
     let result = approx_edge_count(&mut oracle, &dlm, &mut rng);
-    let count_wall = count_start.elapsed();
 
     let exact = matches!(result.method, ApproxMethod::Exact) && query.disequalities().is_empty();
     let mut report = if exact {
@@ -207,7 +204,6 @@ pub fn fptras_count_with_scratch(
         query_treewidth: plan.query_treewidth(query),
         wall: start.elapsed(),
         threads_used: runtime.threads(),
-        phase_walls: vec![("build_b", build_wall), ("count", count_wall)],
         ..Telemetry::default()
     };
     Ok(report)

@@ -255,24 +255,15 @@ impl<'a, H: HomDecider + Sync> EdgeFreeOracle for AnswerOracle<'a, H> {
         let (query, b_structure, a_hat, decider) =
             (self.query, &self.b_structure, &*self.a_hat, self.decider);
         let universe_size = self.universe_size;
-        // Fanning out pays a dispatch cost per oracle call; when a call's
-        // total work is tiny (few rounds over a small `B̂`), the dispatch
-        // exceeds the parallelised work, so small instances run serially.
-        // The persistent worker pool (cqc-runtime's `pool`) replaced the
-        // per-call thread spawn, which is why the top-level cutoff sits at
-        // 256 rather than the 2048 the scoped-spawn runtime needed. A call
-        // issued from *inside* a pool worker (count_batch / serve shards)
-        // cannot use the pool and falls back to per-call scoped spawning,
-        // so it keeps the old spawn-tax cutoff. Neither cutoff can affect
-        // the answer — the set of colourings and hence the ∃ outcome is
-        // the same either way.
+        // Fanning out pays a pool dispatch (a mutex lock and a wakeup) per
+        // oracle call; when a call's total work is tiny (few rounds over a
+        // small `B̂`), the dispatch exceeds the parallelised work, so small
+        // instances run serially. A call issued from inside a pool worker
+        // (count_batch / serve shards) runs inline on that worker whatever
+        // the cutoff. The cutoff cannot affect the answer — the set of
+        // colourings and hence the ∃ outcome is the same either way.
         let work_proxy = self.repetitions * (universe_size + self.b_structure.fact_count());
-        let cutoff = if cqc_runtime::pool::on_pool_worker() {
-            2048
-        } else {
-            256
-        };
-        let runtime = if work_proxy >= cutoff {
+        let runtime = if work_proxy >= 256 {
             self.runtime
         } else {
             Runtime::serial()

@@ -51,15 +51,12 @@ pub struct Telemetry {
     /// The **configured** fan-out width of the parallel runtime for this
     /// evaluation (the resolved `threads` setting). The concurrency
     /// actually achieved can be lower — the persistent pool caps helpers at
-    /// its own width (`COUNTING_POOL_WORKERS` / `--workers`), and small
-    /// oracle calls run serially below the dispatch cutoff. Neither the
-    /// configured nor the achieved width ever affects the estimate
-    /// (deterministic seed-splitting), only the wall times.
+    /// its own width, a call that finds the pool busy (or is issued from a
+    /// pool worker) runs inline on its caller, and small oracle calls run
+    /// serially below the dispatch cutoff. Neither the configured nor the
+    /// achieved width ever affects the estimate (deterministic
+    /// seed-splitting), only the wall times.
     pub threads_used: usize,
-    /// Wall-clock time per evaluation phase, in execution order (e.g.
-    /// `build_b` / `count` for the FPTRAS, `build_automaton` / `count` for
-    /// the FPRAS).
-    pub phase_walls: Vec<(&'static str, Duration)>,
 }
 
 /// The unified result of one evaluation of a prepared query against a

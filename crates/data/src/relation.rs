@@ -1,7 +1,6 @@
 //! Relations: finite sets of tuples with per-column indices.
 
 use crate::tuple::{Tuple, Val};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Per-position value index: `index[pos][v]` lists the tuples carrying
@@ -13,7 +12,7 @@ type PositionIndex = Vec<HashMap<Val, Vec<Tuple>>>;
 /// Tuples are kept in a sorted set (deterministic iteration) and an inverted
 /// index `position → value → tuple positions` is maintained lazily to support
 /// selections during joins and homomorphism search.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Relation {
     arity: usize,
     tuples: BTreeSet<Tuple>,
@@ -22,7 +21,6 @@ pub struct Relation {
     /// (rather than a `RefCell`) so that read-only relations stay `Sync` —
     /// the parallel runtime shares databases across worker threads, and the
     /// first thread to need the index builds it for everyone.
-    #[serde(skip)]
     index: std::sync::OnceLock<PositionIndex>,
 }
 

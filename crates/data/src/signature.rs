@@ -1,7 +1,6 @@
 //! Signatures: finite sets of relation symbols with positive arities.
 
 use crate::{DataError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -10,7 +9,7 @@ use std::fmt;
 /// Symbols are dense indices into a [`Signature`]; two structures share
 /// symbol identities only if they were built against the same signature (or a
 /// signature extension, see [`Signature::extend_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SymbolId(pub u32);
 
 impl SymbolId {
@@ -29,7 +28,7 @@ impl fmt::Display for SymbolId {
 
 /// A signature `σ`: a finite set of relation symbols with specified positive
 /// arities (paper, Section 1.1).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Signature {
     names: Vec<String>,
     arities: Vec<usize>,

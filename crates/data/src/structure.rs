@@ -1,14 +1,13 @@
 //! Relational structures (databases).
 
 use crate::{DataError, Relation, Result, Signature, SymbolId, Tuple, Val};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A relational structure `A` (equivalently, a database `D`):
 /// a finite universe `U(A)` together with, for each relation symbol
 /// `R ∈ sig(A)`, a relation `R^A ⊆ U(A)^{ar(R)}` (paper, Sections 1.1 / 2.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Structure {
     signature: Signature,
     universe_size: usize,

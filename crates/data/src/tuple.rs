@@ -1,6 +1,5 @@
 //! Universe elements and tuples (facts).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A universe element of a relational structure.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Universe elements are dense identifiers `0..universe_size`. The paper's
 /// universe `U(D)` is represented by the range of valid [`Val`]s of a
 /// [`crate::Structure`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Val(pub u32);
 
 impl Val {
@@ -42,7 +41,7 @@ impl fmt::Display for Val {
 /// A tuple (fact) of a relation: a fixed-length sequence of universe elements.
 ///
 /// Tuples are stored as boxed slices to keep [`crate::Relation`] compact.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(pub Box<[Val]>);
 
 impl Tuple {

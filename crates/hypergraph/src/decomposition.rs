@@ -2,7 +2,6 @@
 //! (Definition 42).
 
 use crate::hypergraph::Hypergraph;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A (rooted) tree decomposition `(T, B)` of a hypergraph (Definition 4).
@@ -13,7 +12,7 @@ use std::collections::BTreeSet;
 /// 1. for each hyperedge `e ∈ E(H)` there is a node `t` with `e ⊆ B_t`, and
 /// 2. for each vertex `v ∈ V(H)` the set `{t | v ∈ B_t}` induces a non-empty
 ///    connected subtree of `T`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeDecomposition {
     bags: Vec<BTreeSet<usize>>,
     parent: Vec<Option<usize>>,
@@ -251,7 +250,7 @@ impl TreeDecomposition {
 }
 
 /// The role of a node in a nice tree decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NiceNodeKind {
     /// A leaf with an empty bag.
     Leaf,
@@ -265,7 +264,7 @@ pub enum NiceNodeKind {
 
 /// A nice tree decomposition (Definition 42) together with the role of each
 /// node. The root always has an empty bag.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NiceTreeDecomposition {
     /// The underlying decomposition.
     pub td: TreeDecomposition,

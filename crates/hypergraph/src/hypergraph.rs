@@ -1,6 +1,5 @@
 //! Finite hypergraphs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A finite hypergraph `H = (V(H), E(H))` with `V(H) = {0, .., n-1}` and
@@ -8,7 +7,7 @@ use std::collections::BTreeSet;
 ///
 /// The *arity* of a hypergraph is the maximum size of its hyperedges.
 /// Duplicate hyperedges are collapsed; empty hyperedges are rejected.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hypergraph {
     num_vertices: usize,
     edges: Vec<BTreeSet<usize>>,

@@ -24,7 +24,7 @@
 
 use cqc_net::loadgen::{run_against, LoadgenOptions, Protocol};
 use cqc_net::{NetConfig, RunningServer};
-use cqc_runtime::pool::set_worker_cap;
+use cqc_runtime::set_worker_cap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -16,7 +16,7 @@
 
 use cqc_net::loadgen::{bench_json, run_against, LoadgenOptions, Protocol};
 use cqc_net::{NetConfig, RunningServer};
-use cqc_runtime::pool::set_worker_cap;
+use cqc_runtime::set_worker_cap;
 
 /// Run one loadgen configuration against a fresh server, returning the
 /// id-ordered transcript.

@@ -1,13 +1,12 @@
 //! Query abstract syntax: extended conjunctive queries (ECQs).
 
 use cqc_data::Signature;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A query variable, identified by a dense index into
 /// [`Query::variable_names`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(pub u32);
 
 impl Var {
@@ -26,7 +25,7 @@ impl fmt::Display for Var {
 
 /// A relational atom `R(y₁, …, y_j)` appearing (positively or negated) in a
 /// query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Atom {
     /// The relation symbol name (resolved against the database signature by
     /// name).
@@ -54,7 +53,7 @@ impl Atom {
 /// (Equalities are rewritten away at build time; disequalities are stored
 /// separately because the hypergraph `H(ϕ)` of Definition 3 must not contain
 /// hyperedges for them.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Literal {
     /// A predicate `R(ȳ)`.
     Positive(Atom),
@@ -78,7 +77,7 @@ impl Literal {
 
 /// The syntactic class of a query, matching the problem names of the paper
 /// (#CQ, #DCQ, #ECQ).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QueryClass {
     /// A conjunctive query: no disequalities, no negated atoms.
     CQ,
@@ -148,7 +147,7 @@ impl std::error::Error for QueryError {}
 /// * every variable occurs in at least one atom or disequality,
 /// * free variables are pairwise distinct,
 /// * every relation name is used with a single arity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     pub(crate) variable_names: Vec<String>,
     pub(crate) free_vars: Vec<Var>,

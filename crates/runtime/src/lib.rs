@@ -39,29 +39,30 @@
 //! ## Execution model
 //!
 //! [`Runtime`] is a cheap `Copy` handle holding a resolved thread count
-//! (requested, or [`THREADS_ENV`], or `std::thread::available_parallelism`
-//! — see [`resolve_threads`]). [`Runtime::par_map`] /
-//! [`Runtime::par_map_n`] execute a fixed index range with chunked
-//! work-stealing: the participants (the calling thread plus persistent
-//! pool workers) repeatedly claim the next chunk of indices from a shared
-//! atomic cursor, so a slow chunk on one participant does not idle the
-//! others. Results are returned **in index order**, making
-//! `par_map` a drop-in replacement for a serial `map` loop.
+//! (requested, or the [`set_worker_cap`] override, or [`THREADS_ENV`], or
+//! `std::thread::available_parallelism` — see [`resolve_threads`]).
+//! [`Runtime::par_map`] / [`Runtime::par_map_n`] execute a fixed index
+//! range with chunked work-stealing: the participants (the calling thread
+//! plus persistent pool workers) repeatedly claim the next chunk of
+//! indices from a shared atomic cursor, so a slow chunk on one participant
+//! does not idle the others. Results are returned **in index order**,
+//! making `par_map` a drop-in replacement for a serial `map` loop.
 //! [`Runtime::par_reduce`] folds the mapped results in index order (again
 //! scheduling-independent), and [`Runtime::par_any_n`] evaluates an
 //! order-insensitive "∃ index with predicate" with cooperative early exit.
 //!
-//! Work is executed by the **persistent worker pool** of [`pool`]: a
-//! `par_*` call publishes its loop body as a scoped job, the calling
-//! thread participates, and up to `threads − 1` long-lived pool workers
-//! join in — dispatching costs a mutex lock and a wakeup instead of a
-//! thread spawn per call, which is what makes fanning out *small* oracle
-//! calls profitable. Nested calls (a `par_*` issued from inside a pool
-//! worker) and calls that find the pool busy fall back to per-call
-//! `std::thread::scope` spawning, which is semantically identical. The
-//! pool module carries the repository's only `unsafe` (lifetime-erased
-//! scoped jobs behind a retire-before-return protocol — see its docs);
-//! everything else in the workspace remains `forbid(unsafe_code)`.
+//! Work is executed by the **persistent worker pool** of [`pool`], the
+//! only executor: a `par_*` call publishes its loop body as a scoped job,
+//! the calling thread participates, and up to `threads − 1` long-lived
+//! pool workers join in — dispatching costs a mutex lock and a wakeup
+//! instead of a thread spawn per call, which is what makes fanning out
+//! *small* oracle calls profitable. Nested calls (a `par_*` issued from
+//! inside a pool worker) and calls that find the pool busy run inline on
+//! the calling thread. The global pool's width resolves exactly like an
+//! automatic thread count (`resolve_threads(0)`), so there is one width
+//! knob. The pool module carries the runtime's only `unsafe`
+//! (lifetime-erased scoped jobs behind a retire-before-return protocol —
+//! see its docs); the rest of this crate denies `unsafe_code`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,12 +84,29 @@ pub const THREADS_ENV: &str = "COUNTING_THREADS";
 // preserved by re-export.
 pub use cqc_obs::seed::{split_seed, split_seed2};
 
+/// Process-wide programmatic override for automatic width (0 = unset).
+static WORKER_CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// Override the automatic width process-wide: what `resolve_threads(0)`
+/// returns and hence the global pool's width. Takes precedence over
+/// [`THREADS_ENV`]; `0` clears it. Tests use it to vary the pool width in
+/// one process. Like the thread count, it never changes estimates — only
+/// wall times.
+pub fn set_worker_cap(cap: usize) {
+    WORKER_CAP_OVERRIDE.store(cap, Ordering::Relaxed);
+}
+
 /// Resolve a requested thread count: a positive request wins; `0` (auto)
-/// falls back to [`THREADS_ENV`] and then to
-/// `std::thread::available_parallelism()`.
+/// falls back to the [`set_worker_cap`] override, then to [`THREADS_ENV`],
+/// then to `std::thread::available_parallelism()`. The global pool's width
+/// is `resolve_threads(0)`, re-read on every dispatch.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
+    }
+    let cap = WORKER_CAP_OVERRIDE.load(Ordering::Relaxed);
+    if cap > 0 {
+        return cap;
     }
     if let Ok(raw) = std::env::var(THREADS_ENV) {
         if let Ok(n) = raw.trim().parse::<usize>() {
@@ -104,14 +122,11 @@ pub fn resolve_threads(requested: usize) -> usize {
 
 /// A resolved parallel execution context: a thread count plus the
 /// deterministic `par_*` primitives. Cheap to copy and pass down the call
-/// stack; work runs on the persistent worker [`pool`] (with a scoped-spawn
-/// fallback for nested or contended calls).
+/// stack; work runs on the persistent worker [`pool`] (inline on the
+/// caller for nested or contended calls).
 #[derive(Clone, Copy)]
 pub struct Runtime {
     threads: usize,
-    /// `false` forces the per-call scoped-spawn path (benchmarking the
-    /// pool against its predecessor; results are identical either way).
-    use_pool: bool,
     /// Pool to dispatch on (`None` = the process-wide [`pool::global`]).
     pool: Option<&'static pool::Pool>,
 }
@@ -120,7 +135,6 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("threads", &self.threads)
-            .field("use_pool", &self.use_pool)
             .field("local_pool", &self.pool.is_some())
             .finish()
     }
@@ -129,7 +143,6 @@ impl std::fmt::Debug for Runtime {
 impl PartialEq for Runtime {
     fn eq(&self, other: &Self) -> bool {
         self.threads == other.threads
-            && self.use_pool == other.use_pool
             && match (self.pool, other.pool) {
                 (Some(a), Some(b)) => std::ptr::eq(a, b),
                 (None, None) => true,
@@ -153,7 +166,6 @@ impl Runtime {
     pub fn new(requested: usize) -> Self {
         Runtime {
             threads: resolve_threads(requested).max(1),
-            use_pool: true,
             pool: None,
         }
     }
@@ -163,7 +175,6 @@ impl Runtime {
     pub const fn serial() -> Self {
         Runtime {
             threads: 1,
-            use_pool: true,
             pool: None,
         }
     }
@@ -191,43 +202,13 @@ impl Runtime {
         self
     }
 
-    /// Force the per-call scoped-spawn path, bypassing the persistent pool
-    /// (the pre-pool implementation, kept as the nested/contended fallback;
-    /// exposed so benchmarks can measure the spawn tax the pool removes).
-    pub fn without_pool(mut self) -> Self {
-        self.use_pool = false;
-        self
-    }
-
     /// Run `body` on up to `width` participants: the calling thread plus
-    /// `width − 1` pool helpers, falling back to scoped spawning when the
-    /// pool refuses (nested call, pool busy, or [`Runtime::without_pool`]).
-    /// Every participant runs `body` exactly once; `body` self-schedules
-    /// over an atomic cursor, so participant count affects scheduling only.
+    /// `width − 1` pool helpers, or the caller alone when the pool is busy
+    /// or the caller is a pool worker. Every participant runs `body`
+    /// exactly once; `body` self-schedules over an atomic cursor, so
+    /// participant count affects scheduling only.
     fn execute_wide(&self, width: usize, body: &(dyn Fn() + Sync)) {
-        let mut width = width;
-        if width > 1 && self.use_pool {
-            let pool = self.pool.unwrap_or_else(pool::global);
-            if pool.try_execute(width, body) {
-                return;
-            }
-            // The fallback still honours the pool's width cap
-            // (`--workers` / `COUNTING_POOL_WORKERS`): a nested or
-            // pool-busy caller must not exceed the operator's bound just
-            // because it spawns its own scoped threads.
-            width = width.min(pool.width());
-        }
-        if width <= 1 {
-            body();
-            return;
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (1..width).map(|_| s.spawn(body)).collect();
-            body();
-            for h in handles {
-                h.join().expect("runtime worker panicked");
-            }
-        });
+        self.pool.unwrap_or_else(pool::global).execute(width, body);
     }
 
     /// Chunk size for `n` items: small enough that work can be stolen
@@ -430,26 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_scoped_and_serial_paths_agree() {
-        let inputs: Vec<u64> = (0..513).collect();
-        let serial: Vec<u64> = inputs.iter().map(|&x| x.wrapping_mul(x) ^ 3).collect();
-        for threads in [2usize, 8] {
-            let pooled = Runtime::new(threads);
-            let scoped = Runtime::new(threads).without_pool();
-            assert_eq!(
-                pooled.par_map(&inputs, |_, &x| x.wrapping_mul(x) ^ 3),
-                serial
-            );
-            assert_eq!(
-                scoped.par_map(&inputs, |_, &x| x.wrapping_mul(x) ^ 3),
-                serial
-            );
-            assert!(pooled.par_any_n(513, |i| i == 400));
-            assert!(scoped.par_any_n(513, |i| i == 400));
-        }
-    }
-
-    #[test]
     fn local_pools_of_any_width_give_identical_results() {
         let serial: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
         for width in [1usize, 2, 8] {
@@ -464,19 +425,57 @@ mod tests {
     }
 
     #[test]
-    fn nested_par_calls_fall_back_to_scoped_spawn() {
-        // outer par_map on the pool; inner par_map from pool workers must
-        // not deadlock and must produce the same results
-        let rt = Runtime::new(4);
-        let out = rt.par_map_n(8, |i| {
-            let inner = Runtime::new(2);
-            inner
-                .par_map_n(16, |j| i * 100 + j)
-                .into_iter()
-                .sum::<usize>()
+    fn busy_and_nested_par_calls_run_inline_on_the_caller() {
+        // Two outer items on a dedicated width-2 pool, each held until
+        // both have started: one runs on the calling thread while the
+        // pool is busy with the outer job, the other on a pool worker.
+        // Each issues an inner `par_map_n` on the same pool, which must
+        // return the serial result with every item run by the caller.
+        let p: &'static pool::Pool = Box::leak(Box::new(pool::Pool::new(2)));
+        let rt = Runtime::new(2).with_pool(p);
+        let started = AtomicUsize::new(0);
+        let outer = rt.par_map_n(2, |i| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            let inner = rt.par_map_n(16, |j| {
+                // slow items give helper threads, if any, time to claim
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                (i * 100 + j, std::thread::current().id())
+            });
+            let me = std::thread::current().id();
+            let values: Vec<usize> = inner.iter().map(|&(v, _)| v).collect();
+            let inline = inner.iter().all(|&(_, id)| id == me);
+            (pool::on_pool_worker(), values, inline)
         });
-        let expect: Vec<usize> = (0..8).map(|i| (0..16).map(|j| i * 100 + j).sum()).collect();
-        assert_eq!(out, expect);
+        let mut on_worker: Vec<bool> = outer.iter().map(|(w, _, _)| *w).collect();
+        on_worker.sort();
+        assert_eq!(
+            on_worker,
+            vec![false, true],
+            "busy and nested cases both ran"
+        );
+        for (i, (worker, values, inline)) in outer.into_iter().enumerate() {
+            let serial: Vec<usize> = (0..16).map(|j| i * 100 + j).collect();
+            assert_eq!(values, serial);
+            assert!(
+                inline,
+                "inner items left the caller (pool worker: {worker})"
+            );
+        }
+    }
+
+    #[test]
+    fn worker_cap_override_wins() {
+        // the override sets both the automatic thread count and the
+        // global pool's width; restore it for other tests in this process
+        set_worker_cap(3);
+        assert_eq!(resolve_threads(0), 3);
+        assert_eq!(Runtime::new(0).threads(), 3);
+        assert_eq!(pool::global().width(), 3);
+        assert_eq!(resolve_threads(5), 5, "an explicit request still wins");
+        set_worker_cap(0);
     }
 
     #[test]

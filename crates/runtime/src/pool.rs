@@ -2,62 +2,57 @@
 //!
 //! ## Why a pool
 //!
-//! The original runtime spawned scoped worker threads *per `par_*` call*
-//! (`std::thread::scope`). That keeps the crate trivially safe, but every
-//! small oracle call pays the thread-spawn tax — tens of microseconds per
-//! worker — which is why the colour-coding oracle needed a serial cutoff
-//! (`work_proxy`) to stay competitive on small instances. This module
-//! replaces the per-call spawn with **long-lived workers** that park on a
-//! condvar between jobs: dispatching a job is a mutex lock plus a wakeup,
-//! two orders of magnitude cheaper than a spawn.
+//! Spawning worker threads *per `par_*` call* makes every small oracle call
+//! pay the thread-spawn tax — tens of microseconds per worker. The pool
+//! keeps **long-lived workers** that park on a condvar between jobs:
+//! dispatching a job is a mutex lock plus a wakeup, two orders of magnitude
+//! cheaper than a spawn.
 //!
 //! ## The retire-before-return protocol
 //!
 //! A *job* is a borrowed closure `&(dyn Fn() + Sync)` that every
 //! participant runs exactly once (the closure loops over an atomic work
-//! cursor internally, exactly like the scoped-spawn loop bodies did). The
-//! closure borrows the caller's stack — results sink, work cursor, the
-//! user's `f` — so handing it to threads that outlive the call requires
-//! erasing its lifetime. That erasure is the **only `unsafe` in the
-//! repository**, and it is sound because of a strict protocol:
+//! cursor internally). The closure borrows the caller's stack — results
+//! sink, work cursor, the user's `f` — so handing it to threads that
+//! outlive the call requires erasing its lifetime. That erasure is
+//! contained in this module, and it is sound because of a strict protocol:
 //!
-//! 1. **Publish.** [`Pool::try_execute`] installs the erased closure under
+//! 1. **Publish.** [`Pool::execute`] installs the erased closure under
 //!    the pool mutex together with a *slot count* (how many helpers may
 //!    claim it) and wakes the workers. A worker participates only by
 //!    *claiming a slot* under the same mutex, which increments the job's
 //!    `active` count before the worker ever touches the closure.
 //! 2. **Participate.** The caller runs the closure on its own thread too —
 //!    the pool contributes `width − 1` helpers to a width-`w` call.
-//! 3. **Retire.** Before `try_execute` returns (or unwinds — the step runs
+//! 3. **Retire.** Before `execute` returns (or unwinds — the step runs
 //!    in a drop guard), it re-locks the state, *cancels all unclaimed
 //!    slots*, and blocks until `active == 0`. After that point no worker
 //!    holds or can ever re-acquire the closure, so the borrow ends strictly
 //!    after every use: the caller's stack frame outlives all accesses.
 //!
 //! A worker panic inside the job is caught, recorded, and re-raised on the
-//! calling thread after retirement (matching the scoped runtime's
-//! `join().expect` behaviour); the caller's own panic still runs step 3
-//! via the drop guard, so unwinding never leaves a dangling job behind.
+//! calling thread after retirement; the caller's own panic still runs
+//! step 3 via the drop guard, so unwinding never leaves a dangling job
+//! behind.
 //!
 //! ## Determinism
 //!
 //! The pool affects **scheduling only**. Which thread claims a slot, how
-//! many helpers wake up in time to participate, and the
-//! `COUNTING_POOL_WORKERS` cap all change nothing about results: the
-//! runtime's `par_*` primitives key every result by work-item index and
-//! fold in index order, and every RNG stream derives from
-//! `(seed, item index)` (see the crate docs). The pool-width matrix in
-//! `tests/parallel_determinism.rs` pins this: estimates are bit-identical
-//! for pool widths 1, 2 and 8 and equal to the serial path.
+//! many helpers wake up in time to participate, and the pool width all
+//! change nothing about results: the runtime's `par_*` primitives key
+//! every result by work-item index and fold in index order, and every RNG
+//! stream derives from `(seed, item index)` (see the crate docs). The
+//! pool-width matrix in `tests/parallel_determinism.rs` pins this:
+//! estimates are bit-identical for pool widths 1, 2 and 8 and equal to the
+//! serial path.
 //!
 //! ## Nesting and contention
 //!
-//! Jobs do not nest *inside the pool*: a `par_*` call issued from within a
-//! pool worker (e.g. the inner per-evaluation runtime of `count_batch`)
-//! falls back to the scoped-spawn path, as does a call that finds the pool
-//! busy with another top-level job. The fallback is semantically identical
-//! — it is the pre-pool implementation — so the pool is purely a fast
-//! path.
+//! A pool runs one job at a time. A job the pool cannot take — issued from
+//! within a pool worker (e.g. the inner per-evaluation runtime of
+//! `count_batch`), or finding the pool busy with another top-level job —
+//! runs inline on the calling thread. Inline execution is the width-1 case
+//! of the same loop body, so it changes wall time only, never results.
 
 #![allow(unsafe_code)]
 
@@ -67,45 +62,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Environment variable capping the persistent pool width (caller plus
-/// helper workers). `COUNTING_POOL_WORKERS=1` forces every pooled `par_*`
-/// call to run inline on the calling thread — CI runs the whole suite this
-/// way to pin the determinism contract. Unset: the machine's available
-/// parallelism. Re-read on every dispatch, so tests can vary it at runtime.
-pub const POOL_WORKERS_ENV: &str = "COUNTING_POOL_WORKERS";
-
-/// Process-wide programmatic override for the pool width cap (0 = unset).
-/// Takes precedence over [`POOL_WORKERS_ENV`]; set by `cqc --workers`.
-static WORKER_CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the global pool's width cap programmatically (the CLI's
-/// `--workers` flag). `0` clears the override, falling back to
-/// [`POOL_WORKERS_ENV`] and then to the available parallelism. Like the
-/// thread count, the cap never affects estimates — only wall times.
-pub fn set_worker_cap(cap: usize) {
-    WORKER_CAP_OVERRIDE.store(cap, Ordering::Relaxed);
-}
-
-/// Resolve the current width cap of the global pool: the
-/// [`set_worker_cap`] override if set, else [`POOL_WORKERS_ENV`], else
-/// `std::thread::available_parallelism()`.
-pub fn resolve_pool_workers() -> usize {
-    let cap = WORKER_CAP_OVERRIDE.load(Ordering::Relaxed);
-    if cap > 0 {
-        return cap;
-    }
-    if let Ok(raw) = std::env::var(POOL_WORKERS_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 thread_local! {
     /// Set for the lifetime of every pool worker thread; lets nested
     /// `par_*` calls detect that they are already running on the pool.
@@ -113,7 +69,7 @@ thread_local! {
 }
 
 /// Is the current thread a pool worker? Nested parallel calls use this to
-/// fall back to scoped spawning instead of deadlocking on their own pool.
+/// run inline instead of deadlocking on their own pool.
 pub fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
@@ -173,7 +129,8 @@ struct Shared {
 pub struct Pool {
     shared: Arc<Shared>,
     /// `Some(w)`: fixed total width (caller + `w − 1` helpers).
-    /// `None`: dynamic — re-resolve [`resolve_pool_workers`] per dispatch.
+    /// `None`: dynamic — re-resolve [`crate::resolve_threads`]`(0)` per
+    /// dispatch.
     fixed_width: Option<usize>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -190,7 +147,7 @@ impl std::fmt::Debug for Pool {
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide pool used by every [`crate::Runtime`] unless a local
-/// pool was attached explicitly. Sized by [`resolve_pool_workers`],
+/// pool was attached explicitly. Sized by [`crate::resolve_threads`]`(0)`,
 /// re-evaluated on every dispatch (workers are spawned lazily and never
 /// torn down; parked workers cost nothing).
 pub fn global() -> &'static Pool {
@@ -233,9 +190,12 @@ impl Pool {
     }
 
     /// The pool's current total width (caller + helpers): the fixed width
-    /// for [`Pool::new`] pools, [`resolve_pool_workers`] for the global one.
+    /// for [`Pool::new`] pools, [`crate::resolve_threads`]`(0)` for the
+    /// global one.
     pub fn width(&self) -> usize {
-        self.fixed_width.unwrap_or_else(resolve_pool_workers).max(1)
+        self.fixed_width
+            .unwrap_or_else(|| crate::resolve_threads(0))
+            .max(1)
     }
 
     /// Run `body` with up to `width` participants (the calling thread plus
@@ -243,51 +203,16 @@ impl Pool {
     /// width). Every participant calls `body` exactly once; `body` is
     /// expected to self-schedule over an atomic cursor.
     ///
-    /// Returns `false` without running anything when the pool cannot take
-    /// the job — the caller is itself a pool worker (nested parallelism) or
-    /// another job is in flight — in which case the caller should fall back
-    /// to scoped spawning. Returns `true` once the job has fully retired:
-    /// no worker touches `body` after this function returns.
-    pub fn try_execute(&self, width: usize, body: &(dyn Fn() + Sync)) -> bool {
+    /// When the pool cannot take the job — the caller is itself a pool
+    /// worker (nested parallelism), another job is in flight, or no helper
+    /// could be spawned — `body` runs inline on the caller alone. Either
+    /// way the job has fully retired on return: no worker touches `body`
+    /// after this function returns.
+    pub fn execute(&self, width: usize, body: &(dyn Fn() + Sync)) {
         let helpers = width.min(self.width()).saturating_sub(1);
-        if helpers == 0 {
-            // Inline degenerate case (pool width 1, or width request 1):
-            // the pool "handles" it by running the body on the caller.
+        if helpers == 0 || on_pool_worker() || !self.publish(helpers, body) {
             body();
-            return true;
-        }
-        if on_pool_worker() {
-            return false;
-        }
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            if st.job.is_some() {
-                return false; // busy with another top-level job
-            }
-            // Lazily grow the worker set up to the helpers we want now.
-            let missing = helpers.saturating_sub(st.spawned);
-            for _ in 0..missing {
-                let shared = Arc::clone(&self.shared);
-                let handle = std::thread::Builder::new()
-                    .name("cqc-pool-worker".into())
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker");
-                self.handles.lock().unwrap().push(handle);
-                st.spawned += 1;
-            }
-            st.job = Some(erase(body));
-            st.epoch = st.epoch.wrapping_add(1);
-            st.slots = helpers.min(st.spawned);
-            st.active = 0;
-            st.panicked = false;
-            self.shared.work_cv.notify_all();
-            ACTIVE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-            if cqc_obs::trace::enabled() {
-                cqc_obs::trace::instant(
-                    "pool_dispatch",
-                    &format!("width {} slots {}", helpers + 1, st.slots),
-                );
-            }
+            return;
         }
 
         // Retirement runs in a drop guard so that a panic inside the
@@ -317,6 +242,46 @@ impl Pool {
         };
         body();
         drop(retire);
+    }
+
+    /// Publish `body` for up to `helpers` workers and wake them. Returns
+    /// `false`, publishing nothing, when another job is in flight or no
+    /// worker exists and none could be spawned; on `true` the caller must
+    /// retire the job before `body`'s borrow ends.
+    fn publish(&self, helpers: usize, body: &(dyn Fn() + Sync)) -> bool {
+        let mut st = self.shared.state.lock().unwrap();
+        if st.job.is_some() {
+            return false; // busy with another top-level job
+        }
+        // Lazily grow the worker set up to the helpers we want now. A
+        // failed spawn (e.g. the OS thread limit) stops the growth without
+        // panicking under the lock, which would poison the pool for every
+        // later call; the job runs with the helpers that exist.
+        while st.spawned < helpers {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name("cqc-pool-worker".into())
+                .spawn(move || worker_loop(&shared));
+            let Ok(handle) = spawned else { break };
+            self.handles.lock().unwrap().push(handle);
+            st.spawned += 1;
+        }
+        if st.spawned == 0 {
+            return false;
+        }
+        st.job = Some(erase(body));
+        st.epoch = st.epoch.wrapping_add(1);
+        st.slots = helpers.min(st.spawned);
+        st.active = 0;
+        st.panicked = false;
+        self.shared.work_cv.notify_all();
+        ACTIVE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
+        if cqc_obs::trace::enabled() {
+            cqc_obs::trace::instant(
+                "pool_dispatch",
+                &format!("width {} slots {}", helpers + 1, st.slots),
+            );
+        }
         true
     }
 }
@@ -337,7 +302,7 @@ impl Drop for Pool {
 /// Erase the lifetime of a borrowed job closure.
 ///
 /// SAFETY: sound only under the retire-before-return protocol — the caller
-/// ([`Pool::try_execute`]) must not return (or unwind) past `body`'s
+/// ([`Pool::execute`]) must not return (or unwind) past `body`'s
 /// lifetime until every claimed slot has retired and all unclaimed slots
 /// are cancelled, which it enforces with its drop guard.
 fn erase<'a>(body: &'a (dyn Fn() + Sync)) -> ErasedJob {
@@ -391,9 +356,9 @@ mod tests {
     fn inline_when_width_one() {
         let pool = Pool::new(1);
         let ran = AtomicU64::new(0);
-        assert!(pool.try_execute(8, &|| {
+        pool.execute(8, &|| {
             ran.fetch_add(1, Ordering::Relaxed);
-        }));
+        });
         // width-1 pool: exactly one (inline) run, no helpers
         assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
@@ -407,7 +372,7 @@ mod tests {
             let cursor = AtomicUsize::new(0);
             let sum = Mutex::new(0u64);
             let n = 100;
-            assert!(pool.try_execute(4, &|| {
+            pool.execute(4, &|| {
                 let mut local = 0u64;
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -417,37 +382,40 @@ mod tests {
                     local += i as u64 + round;
                 }
                 *sum.lock().unwrap() += local;
-            }));
+            });
             let expect: u64 = (0..n as u64).map(|i| i + round).sum();
             assert_eq!(*sum.lock().unwrap(), expect, "round {round}");
         }
     }
 
     #[test]
-    fn nested_execute_from_worker_is_refused() {
+    fn nested_execute_from_worker_runs_inline() {
         let pool = Pool::new(4);
         let inner_pool = Pool::new(2);
         let participants = AtomicUsize::new(0);
-        let refused = AtomicU64::new(0);
-        assert!(pool.try_execute(4, &|| {
+        let nested = AtomicU64::new(0);
+        pool.execute(4, &|| {
             // hold every participant until at least one pool helper has
-            // joined, so the refusal branch below is guaranteed to run
+            // joined, so the nested branch below is guaranteed to run
             participants.fetch_add(1, Ordering::SeqCst);
             while participants.load(Ordering::SeqCst) < 2 {
                 std::thread::yield_now();
             }
             if on_pool_worker() {
-                // a worker asking any pool for parallelism is refused
-                assert!(
-                    !inner_pool.try_execute(2, &|| {}),
-                    "nested execute from a pool worker must be refused"
-                );
-                refused.fetch_add(1, Ordering::Relaxed);
+                // a worker asking any pool for parallelism runs the job
+                // alone, on its own thread
+                let me = std::thread::current().id();
+                let runs = Mutex::new(Vec::new());
+                inner_pool.execute(2, &|| {
+                    runs.lock().unwrap().push(std::thread::current().id());
+                });
+                assert_eq!(*runs.lock().unwrap(), vec![me]);
+                nested.fetch_add(1, Ordering::Relaxed);
             }
-        }));
+        });
         assert!(
-            refused.load(Ordering::Relaxed) >= 1,
-            "no pool helper exercised the refusal path"
+            nested.load(Ordering::Relaxed) >= 1,
+            "no pool helper exercised the nested path"
         );
     }
 
@@ -456,7 +424,7 @@ mod tests {
         let pool = Pool::new(4);
         let cursor = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.try_execute(4, &|| loop {
+            pool.execute(4, &|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= 64 {
                     break;
@@ -467,9 +435,9 @@ mod tests {
         assert!(result.is_err());
         // the pool must be reusable after a panicked job
         let ran = AtomicU64::new(0);
-        assert!(pool.try_execute(2, &|| {
+        pool.execute(2, &|| {
             ran.fetch_add(1, Ordering::Relaxed);
-        }));
+        });
         assert!(ran.load(Ordering::Relaxed) >= 1);
     }
 
@@ -477,28 +445,19 @@ mod tests {
     fn global_pool_exists_and_reports_width() {
         assert!(global().width() >= 1);
         let ran = AtomicU64::new(0);
-        assert!(global().try_execute(2, &|| {
+        global().execute(2, &|| {
             ran.fetch_add(1, Ordering::Relaxed);
-        }));
+        });
         assert!(ran.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
-    fn worker_cap_override_wins() {
-        // avoid racing other tests: save and restore
-        let before = WORKER_CAP_OVERRIDE.load(Ordering::Relaxed);
-        set_worker_cap(3);
-        assert_eq!(resolve_pool_workers(), 3);
-        set_worker_cap(before);
     }
 
     #[test]
     fn drop_joins_workers() {
         let pool = Pool::new(3);
         let cursor = AtomicUsize::new(0);
-        assert!(pool.try_execute(3, &|| {
+        pool.execute(3, &|| {
             while cursor.fetch_add(1, Ordering::Relaxed) < 1000 {}
-        }));
+        });
         drop(pool); // must not hang or panic
     }
 }

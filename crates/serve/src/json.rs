@@ -1,8 +1,7 @@
 //! A minimal, dependency-free JSON layer for the serving front end.
 //!
-//! The workspace has no crates.io access and the vendored `serde` shim is
-//! inert (it provides derives that expand to nothing), so the wire format
-//! of `cqc-serve` is handled by this module: a small [`Value`] tree, a
+//! The workspace has no crates.io access, so the wire format of
+//! `cqc-serve` is handled by this module: a small [`Value`] tree, a
 //! recursive-descent parser, and a deterministic renderer. Objects keep
 //! **insertion order** (they are backed by a `Vec`, not a map), so a
 //! response rendered twice from the same data is byte-identical — the

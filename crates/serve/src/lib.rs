@@ -16,8 +16,7 @@
 //! [`count_sharded`] and the module docs of [`server`] for the argument,
 //! and `tests/shard_equivalence.rs` for the pinned matrix.
 //!
-//! The wire format is handled by the crate's own minimal [`json`] module
-//! (the workspace's vendored `serde` shim is inert by design).
+//! The wire format is handled by the crate's own minimal [`json`] module.
 //!
 //! ```
 //! use cqc_serve::{Server, ServerConfig};

@@ -91,7 +91,7 @@ pub mod prelude {
     };
     pub use cqc_data::{Database, Structure, StructureBuilder, Val};
     pub use cqc_query::{parse_query, Query, QueryBuilder, QueryClass};
-    pub use cqc_runtime::pool::{resolve_pool_workers, Pool};
+    pub use cqc_runtime::pool::Pool;
     pub use cqc_runtime::{resolve_threads, split_seed, split_seed2, Runtime};
     pub use cqc_serve::{count_sharded, Server, ServerConfig};
 }

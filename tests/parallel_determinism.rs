@@ -50,8 +50,8 @@ fn engine_with_threads(seed: u64, threads: usize) -> Engine {
 /// for all three query classes of Figure 1. The pool (like the thread
 /// count) may only change scheduling, never results: every RNG stream is
 /// keyed by `(seed, work-item index)` and every estimate-feeding reduction
-/// folds in index order. `COUNTING_POOL_WORKERS` applies the same widths
-/// process-wide (CI runs a `COUNTING_POOL_WORKERS=1` leg); this in-process
+/// folds in index order. `COUNTING_THREADS` sets the global pool's width
+/// process-wide (CI runs a `COUNTING_THREADS=1` leg); this in-process
 /// matrix uses explicit pools so one run covers all three widths.
 #[test]
 fn pool_width_matrix_is_bit_identical_to_the_serial_path() {
