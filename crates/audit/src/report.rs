@@ -104,21 +104,11 @@ pub fn render_json(report: &AuditReport) -> String {
     out
 }
 
-/// Escape a string for JSON.
+/// `s` as a quoted JSON string literal.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    cqc_obs::trace::escape_json(s, &mut out);
     out.push('"');
     out
 }

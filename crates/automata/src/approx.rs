@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// Tuning parameters for [`approx_count_fixed_shape`].
+/// Tuning parameters for [`approx_count_fixed_shape_seeded`].
 #[derive(Debug, Clone)]
 pub struct TaApproxConfig {
     /// Target relative error.
@@ -76,23 +76,6 @@ struct Component {
     weight: f64,
 }
 
-/// Approximately count the labellings of `shape` accepted by `a`
-/// (`|{ψ : (shape, ψ) accepted}|`), i.e. the `N`-slice restricted to this
-/// shape — which for the Lemma 52 automata equals `|L_N(A)| = |Ans(ϕ, D)|`.
-///
-/// Legacy convenience wrapper: draws a root seed from `rng` and runs the
-/// deterministic counter serially. Prefer
-/// [`approx_count_fixed_shape_seeded`], which is bit-identical for any
-/// thread count.
-pub fn approx_count_fixed_shape<R: Rng>(
-    a: &TreeAutomaton,
-    shape: &TreeShape,
-    config: &TaApproxConfig,
-    rng: &mut R,
-) -> f64 {
-    approx_count_fixed_shape_seeded(a, shape, config, rng.gen::<u64>(), &Runtime::serial())
-}
-
 /// The components of `L(t, q)` at a node with the given children, weighted
 /// by the child estimates computed so far.
 fn components_of(
@@ -133,7 +116,11 @@ fn components_of(
     components
 }
 
-/// Deterministic, parallel approximate counter. Tree nodes are processed
+/// Approximately count the labellings of `shape` accepted by `a`
+/// (`|{ψ : (shape, ψ) accepted}|`), i.e. the `N`-slice restricted to this
+/// shape — which for the Lemma 52 automata equals `|L_N(A)| = |Ans(ϕ, D)|`.
+///
+/// Deterministic and parallel. Tree nodes are processed
 /// bottom-up (a genuine sequential dependency: a node's component weights
 /// and sample pools come from its children), but within a node every state
 /// `q` is independent and is fanned out over `runtime`. State `q` at node
@@ -333,8 +320,9 @@ mod tests {
     use rand::SeedableRng;
 
     fn approx(a: &TreeAutomaton, shape: &TreeShape, seed: u64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        approx_count_fixed_shape(a, shape, &TaApproxConfig::new(0.2, 0.05), &mut rng)
+        let root_seed = StdRng::seed_from_u64(seed).gen();
+        let config = TaApproxConfig::new(0.2, 0.05);
+        approx_count_fixed_shape_seeded(a, shape, &config, root_seed, &Runtime::serial())
     }
 
     #[test]

@@ -47,7 +47,8 @@ fn count_labelings_bruteforce(a: &TreeAutomaton, shape: &TreeShape) -> u128 {
 /// The table size is bounded by the number of distinct reachable state sets,
 /// which is small for the automata produced by the Lemma 52 reduction on
 /// moderate instances but can be exponential in general — this function is a
-/// ground-truth tool, not the FPRAS (see [`crate::approx_count_fixed_shape`]).
+/// ground-truth tool, not the FPRAS (see
+/// [`crate::approx_count_fixed_shape_seeded`]).
 pub fn count_labelings_fixed_shape(a: &TreeAutomaton, shape: &TreeShape) -> u128 {
     let order = shape.postorder();
     // tables[t]: reachable state set (sorted) → number of labellings of the

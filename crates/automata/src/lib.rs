@@ -12,10 +12,10 @@
 //!   fixed-shape counter via a dynamic program over reachable state sets
 //!   (used as ground truth for the Theorem 16 pipeline, whose Lemma 52
 //!   automata force the tree shape).
-//! * [`approx_count_fixed_shape`] — a sampling-based approximate counter in
-//!   the style of Arenas–Croquevielle–Jayaram–Riveros (Lemma 51): bottom-up
-//!   per-(node, state) estimates with Karp–Luby union estimation and
-//!   self-reducible sampling. See DESIGN.md (substitutions) for how this
+//! * [`approx_count_fixed_shape_seeded`] — a sampling-based approximate
+//!   counter in the style of Arenas–Croquevielle–Jayaram–Riveros (Lemma 51):
+//!   bottom-up per-(node, state) estimates with Karp–Luby union estimation
+//!   and self-reducible sampling. See DESIGN.md (substitutions) for how this
 //!   relates to the original ACJR algorithm.
 
 #![forbid(unsafe_code)]
@@ -26,7 +26,7 @@ pub mod automaton;
 pub mod exact;
 pub mod tree;
 
-pub use approx::{approx_count_fixed_shape, approx_count_fixed_shape_seeded, TaApproxConfig};
+pub use approx::{approx_count_fixed_shape_seeded, TaApproxConfig};
 pub use automaton::{TransitionTarget, TreeAutomaton};
 pub use exact::{count_labelings_fixed_shape, count_slice_bruteforce};
 pub use tree::{LabeledTree, TreeShape};

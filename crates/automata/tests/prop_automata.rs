@@ -5,12 +5,13 @@
 
 use cqc_automata::automaton::accepted_labelings_bruteforce;
 use cqc_automata::{
-    approx_count_fixed_shape, count_labelings_fixed_shape, count_slice_bruteforce, LabeledTree,
-    TaApproxConfig, TransitionTarget, TreeAutomaton, TreeShape,
+    approx_count_fixed_shape_seeded, count_labelings_fixed_shape, count_slice_bruteforce,
+    LabeledTree, TaApproxConfig, TransitionTarget, TreeAutomaton, TreeShape,
 };
+use cqc_runtime::Runtime;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A raw random automaton over `num_states` states and `num_labels` labels.
 #[derive(Debug, Clone)]
@@ -120,8 +121,8 @@ proptest! {
         let a = build_automaton(&raw);
         let exact = count_labelings_fixed_shape(&a, &shape) as f64;
         let cfg = TaApproxConfig::new(0.1, 0.01);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let est = approx_count_fixed_shape(&a, &shape, &cfg, &mut rng);
+        let root_seed = StdRng::seed_from_u64(seed).gen();
+        let est = approx_count_fixed_shape_seeded(&a, &shape, &cfg, root_seed, &Runtime::serial());
         prop_assert!(est >= 0.0);
         if exact == 0.0 {
             prop_assert!(est < 0.5, "estimate {} for an empty slice", est);

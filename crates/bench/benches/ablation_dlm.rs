@@ -7,7 +7,7 @@
 //! digraph, at a sample budget where the naive estimator is already slower
 //! and still unreliable (see `report ablation-naive` for the accuracy side).
 
-use cqc_core::{fptras_count, naive_monte_carlo, ApproxConfig};
+use cqc_core::{naive_monte_carlo, ApproxConfig, Backend, EngineBuilder};
 use cqc_workloads::{erdos_renyi, graph_database, star_query};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -27,8 +27,16 @@ fn bench(c: &mut Criterion) {
         let g = erdos_renyi(n, 1.5 / n as f64, &mut rng);
         let db = graph_database(&g, "E", false);
         let cfg = ApproxConfig::new(0.3, 0.1).with_seed(n as u64);
+        let engine = EngineBuilder::from_config(cfg)
+            .backend(Backend::Fptras)
+            .build()
+            .unwrap();
         group.bench_with_input(BenchmarkId::new("dlm_fptras", n), &n, |b, _| {
-            b.iter(|| fptras_count(&spec.query, &db, &cfg).unwrap().estimate)
+            // planning is timed too, as a one-off count pays it
+            b.iter(|| {
+                let prepared = engine.prepare(&spec.query).unwrap();
+                prepared.count(&db).unwrap().estimate
+            })
         });
         group.bench_with_input(BenchmarkId::new("naive_monte_carlo", n), &n, |b, _| {
             b.iter(|| {

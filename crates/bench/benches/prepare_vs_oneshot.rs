@@ -1,14 +1,14 @@
 //! Plan amortisation: `Engine::prepare` + repeated `PreparedQuery::count`
-//! versus the legacy one-shot API that re-plans per call.
+//! versus re-planning on every call.
 //!
 //! Three benchmark axes per query class:
 //! * `prepare`  — the query-side planning cost alone (paid once per query);
 //! * `prepared` — data-side evaluation over 4 database snapshots with a
 //!   cached plan (the hot path of a repeated-evaluation deployment);
-//! * `oneshot`  — the legacy `approx_count_answers` over the same
-//!   snapshots, which pays the planning cost on every call.
+//! * `oneshot`  — `prepare` + `count` per snapshot, which pays the
+//!   planning cost on every call.
 
-use cqc_core::{approx_count_answers, ApproxConfig, Engine};
+use cqc_core::Engine;
 use cqc_data::Structure;
 use cqc_query::{parse_query, Query};
 use cqc_workloads::{erdos_renyi, graph_database};
@@ -55,7 +55,6 @@ fn bench(c: &mut Criterion) {
         .seed(7)
         .build()
         .unwrap();
-    let cfg: ApproxConfig = engine.config().clone();
     let snapshots = dbs(24);
 
     for (name, q) in queries() {
@@ -75,12 +74,12 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        // Legacy: plan + evaluate on every call.
+        // Plan + evaluate on every call.
         group.bench_with_input(BenchmarkId::new("oneshot", name), &q, |b, q| {
             b.iter(|| {
                 snapshots
                     .iter()
-                    .map(|db| approx_count_answers(q, db, &cfg).unwrap().estimate)
+                    .map(|db| engine.prepare(q).unwrap().count(db).unwrap().estimate)
                     .sum::<f64>()
             })
         });

@@ -1,6 +1,6 @@
 //! E5 (Theorem 13): FPTRAS for DCQs over ternary relations (unbounded arity).
 
-use cqc_core::{fptras_count, ApproxConfig};
+use cqc_core::{ApproxConfig, Backend, EngineBuilder};
 use cqc_workloads::graphs::random_ternary_database;
 use cqc_workloads::hyperchain_query;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,8 +18,16 @@ fn bench(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let db = random_ternary_database(n, facts, &mut rng);
         let cfg = ApproxConfig::new(0.3, 0.1).with_seed(n as u64);
+        let engine = EngineBuilder::from_config(cfg)
+            .backend(Backend::Fptras)
+            .build()
+            .unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| fptras_count(&spec.query, &db, &cfg).unwrap().estimate)
+            // planning is timed too, as a one-off count pays it
+            b.iter(|| {
+                let prepared = engine.prepare(&spec.query).unwrap();
+                prepared.count(&db).unwrap().estimate
+            })
         });
     }
     group.finish();

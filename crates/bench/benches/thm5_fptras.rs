@@ -1,6 +1,6 @@
 //! E1 (Theorem 5): FPTRAS for bounded-treewidth ECQs — runtime vs database size.
 
-use cqc_core::{fptras_count, ApproxConfig};
+use cqc_core::{ApproxConfig, Backend, EngineBuilder};
 use cqc_workloads::{erdos_renyi, graph_database, star_query};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -18,8 +18,16 @@ fn bench(c: &mut Criterion) {
         let g = erdos_renyi(n, 3.0 / n as f64, &mut rng);
         let db = graph_database(&g, "E", false);
         let cfg = ApproxConfig::new(0.3, 0.1).with_seed(n as u64);
+        let engine = EngineBuilder::from_config(cfg)
+            .backend(Backend::Fptras)
+            .build()
+            .unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| fptras_count(&spec.query, &db, &cfg).unwrap().estimate)
+            // planning is timed too, as a one-off count pays it
+            b.iter(|| {
+                let prepared = engine.prepare(&spec.query).unwrap();
+                prepared.count(&db).unwrap().estimate
+            })
         });
     }
     group.finish();

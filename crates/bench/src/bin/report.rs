@@ -13,17 +13,16 @@
 
 use cqc_bench::{header, relative_error, row, timed};
 use cqc_core::lihom::PatternGraph;
-use cqc_core::Engine;
 use cqc_core::{
-    approx_count_answers, count_locally_injective_homomorphisms, count_union, exact_count_answers,
-    fpras_count, fptras_count, hamiltonian_path_query, naive_monte_carlo, sample_answers,
-    undirected_graph_database, ApproxConfig,
+    count_locally_injective_homomorphisms, count_union, exact_count_answers,
+    hamiltonian_path_query, naive_monte_carlo, undirected_graph_database, ApproxConfig, Backend,
+    Engine, EngineBuilder, EstimateReport,
 };
-use cqc_data::Val;
+use cqc_data::{Structure, Val};
 use cqc_hypergraph::adaptive::adaptive_width_bounds;
 use cqc_hypergraph::fwidth::{minimise_width, WidthMeasure};
 use cqc_hypergraph::treewidth::treewidth_exact;
-use cqc_query::{enumerate_answers, query_hypergraph};
+use cqc_query::{enumerate_answers, query_hypergraph, Query};
 use cqc_workloads::graphs::random_ternary_database;
 use cqc_workloads::{
     clique_query, erdos_renyi, footnote4_star_query, graph_database, hyperchain_query, path_query,
@@ -83,6 +82,22 @@ fn main() {
     }
 }
 
+/// Prepare `query` under `config` with the given backend, then count it on
+/// `db` (planning included, as a one-off count pays it).
+fn count_with(
+    backend: Backend,
+    query: &Query,
+    db: &Structure,
+    config: &ApproxConfig,
+) -> EstimateReport {
+    EngineBuilder::from_config(config.clone())
+        .backend(backend)
+        .build()
+        .and_then(|engine| engine.prepare(query))
+        .and_then(|prepared| prepared.count(db))
+        .unwrap()
+}
+
 /// Parallel scaling of the deterministic runtime (see
 /// `benches/parallel_scaling.rs` for the criterion variant): repetitions/sec
 /// on the Theorem 5 colour-coding workload and wall time on the Theorem 16
@@ -99,9 +114,9 @@ fn experiment_parallel(large: bool) {
     let (n_dcq, n_cq) = if large { (96, 32) } else { (48, 24) };
 
     let scaling_rows = |label: &str,
-                        query: &cqc_query::Query,
-                        db: &cqc_data::Structure,
-                        configure: &dyn Fn(cqc_core::EngineBuilder) -> cqc_core::EngineBuilder,
+                        query: &Query,
+                        db: &Structure,
+                        configure: &dyn Fn(EngineBuilder) -> EngineBuilder,
                         show_reps: bool| {
         let mut base_secs = None;
         let mut base_hom = None;
@@ -200,14 +215,14 @@ fn experiment_thm5(large: bool) {
         for spec in &queries {
             let truth = exact_count_answers(&spec.query, &db) as f64;
             let cfg = ApproxConfig::new(0.25, 0.1).with_seed(n as u64);
-            let (r, secs) = timed(|| fptras_count(&spec.query, &db, &cfg).unwrap());
+            let (r, secs) = timed(|| count_with(Backend::Fptras, &spec.query, &db, &cfg));
             row(&[
                 spec.name.clone(),
                 n.to_string(),
                 truth.to_string(),
                 format!("{:.1}", r.estimate),
                 format!("{:.3}", relative_error(r.estimate, truth)),
-                r.hom_calls.to_string(),
+                r.telemetry.hom_calls.to_string(),
                 format!("{secs:.2}"),
             ]);
         }
@@ -229,7 +244,7 @@ fn experiment_obs9(large: bool) {
         let tw = treewidth_exact(&h).0;
         let truth = exact_count_answers(&spec.query, &db) as f64;
         let cfg = ApproxConfig::new(0.3, 0.1).with_seed(k as u64);
-        let (r, secs) = timed(|| fptras_count(&spec.query, &db, &cfg).unwrap());
+        let (r, secs) = timed(|| count_with(Backend::Fptras, &spec.query, &db, &cfg));
         row(&[
             k.to_string(),
             tw.to_string(),
@@ -260,7 +275,7 @@ fn experiment_obs10(large: bool) {
             colour_repetitions: Some(4usize.pow((n * (n - 1) / 2) as u32).min(20_000)),
             ..Default::default()
         };
-        let (r, secs) = timed(|| fptras_count(&q, &db, &cfg).unwrap());
+        let (r, secs) = timed(|| count_with(Backend::Fptras, &q, &db, &cfg));
         row(&[
             n.to_string(),
             q.size().to_string(),
@@ -322,7 +337,7 @@ fn experiment_thm13(large: bool) {
         for spec in [hyperchain_query(2, true), hyperchain_query(3, true)] {
             let truth = exact_count_answers(&spec.query, &db) as f64;
             let cfg = ApproxConfig::new(0.25, 0.1).with_seed(n as u64);
-            let (r, secs) = timed(|| fptras_count(&spec.query, &db, &cfg).unwrap());
+            let (r, secs) = timed(|| count_with(Backend::Fptras, &spec.query, &db, &cfg));
             row(&[
                 spec.name.clone(),
                 n.to_string(),
@@ -366,15 +381,15 @@ fn experiment_thm16(large: bool) {
         ] {
             let truth = exact_count_answers(&spec.query, &db) as f64;
             let cfg = ApproxConfig::new(0.2, 0.1).with_seed(n as u64);
-            let (r, secs) = timed(|| fpras_count(&spec.query, &db, &cfg).unwrap());
+            let (r, secs) = timed(|| count_with(Backend::Fpras, &spec.query, &db, &cfg));
             row(&[
                 spec.name.clone(),
                 n.to_string(),
                 truth.to_string(),
                 format!("{:.1}", r.estimate),
                 format!("{:.3}", relative_error(r.estimate, truth)),
-                format!("{:.2}", r.fhw),
-                r.states.to_string(),
+                format!("{:.2}", r.telemetry.fhw.unwrap()),
+                r.telemetry.automaton_states.to_string(),
                 r.exact.to_string(),
                 format!("{secs:.2}"),
             ]);
@@ -405,7 +420,7 @@ fn experiment_footnote4(large: bool) {
             let spec = footnote4_star_query(k, distinct);
             let (truth, secs_exact) = timed(|| exact_count_answers(&spec.query, &db) as f64);
             let cfg = ApproxConfig::new(0.25, 0.1).with_seed(k as u64);
-            let (r, secs) = timed(|| approx_count_answers(&spec.query, &db, &cfg).unwrap());
+            let (r, secs) = timed(|| count_with(Backend::Auto, &spec.query, &db, &cfg));
             row(&[
                 k.to_string(),
                 distinct.to_string(),
@@ -431,7 +446,8 @@ fn experiment_sampling() {
     let answers = enumerate_answers(&q, &db);
     let cfg = ApproxConfig::new(0.3, 0.05).with_seed(8);
     let samples = 100 * answers.len().max(1);
-    let drawn = sample_answers(&q, &db, samples, &cfg).unwrap();
+    let prepared = Engine::from_config(cfg).prepare(&q).unwrap();
+    let drawn = prepared.sample(&db, samples).unwrap();
     let mut freq: std::collections::BTreeMap<Vec<Val>, usize> = Default::default();
     for s in &drawn {
         *freq.entry(s.clone()).or_insert(0) += 1;
@@ -549,7 +565,7 @@ fn experiment_ablation_colour() {
                 colour_repetitions: Some(reps),
                 ..Default::default()
             };
-            let r = fptras_count(&spec.query, &db, &cfg).unwrap();
+            let r = count_with(Backend::Fptras, &spec.query, &db, &cfg);
             row(&[
                 d.to_string(),
                 reps.to_string(),
@@ -578,7 +594,7 @@ fn experiment_ablation_naive() {
         colour_repetitions: Some(400),
         ..Default::default()
     };
-    let r = fptras_count(&q, &db, &cfg).unwrap();
+    let r = count_with(Backend::Fptras, &q, &db, &cfg);
     row(&[
         "ham-path(3)".into(),
         truth.to_string(),

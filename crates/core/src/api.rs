@@ -1,13 +1,10 @@
-//! Shared configuration plus the legacy one-shot entry points.
+//! The accuracy configuration shared by every counter, plus the exact
+//! baseline.
 //!
-//! The primary API is [`crate::Engine`] / [`crate::PreparedQuery`] (plan
-//! once, count many). The free functions here — [`approx_count_answers`],
-//! [`exact_count_answers`] — are thin wrappers kept for one-off calls and
-//! backwards compatibility; they re-plan the query on every call.
+//! Counting goes through [`crate::Engine`] / [`crate::PreparedQuery`] (plan
+//! once, count many); an [`ApproxConfig`] is what an engine is built from.
 
-use crate::engine::Engine;
 use crate::error::CoreError;
-use crate::report::CountMethod;
 use cqc_data::Structure;
 use cqc_query::{count_answers_via_solutions, Query};
 
@@ -84,8 +81,8 @@ impl ApproxConfig {
 
     /// Check that the accuracy parameters are usable: `ε, δ ∈ (0, 1)`.
     ///
-    /// Called by [`crate::EngineBuilder::build`], [`crate::Engine::prepare`]
-    /// and the legacy one-shot wrappers, so every entry point rejects an
+    /// Called by [`crate::EngineBuilder::build`] and
+    /// [`crate::Engine::prepare`], so every entry point rejects an
     /// out-of-range configuration with the same
     /// [`PlanError::InvalidConfig`](crate::PlanError::InvalidConfig) instead
     /// of running the samplers with a nonsensical budget.
@@ -106,44 +103,6 @@ impl ApproxConfig {
     }
 }
 
-/// The result of [`approx_count_answers`] (legacy; the engine API returns
-/// the richer [`crate::EstimateReport`]).
-#[derive(Debug, Clone)]
-pub struct CountEstimate {
-    /// The estimate of `|Ans(ϕ, D)|`.
-    pub estimate: f64,
-    /// The algorithm used.
-    pub method: CountMethod,
-    /// Whether the value is exact rather than approximate.
-    pub exact: bool,
-}
-
-/// Approximately count `|Ans(ϕ, D)|`, dispatching on the query class exactly
-/// along the lines of Figure 1 of the paper:
-///
-/// * plain CQs → the FPRAS of Theorem 16,
-/// * DCQs and ECQs → the FPTRAS of Theorems 5 / 13.
-///
-/// Legacy one-shot wrapper over [`Engine::prepare`] +
-/// [`crate::PreparedQuery::count`]: the query is re-planned on every call.
-/// When evaluating the same query against several databases (or repeatedly),
-/// prepare it once instead — the estimates are bit-identical for the same
-/// seed.
-pub fn approx_count_answers(
-    query: &Query,
-    db: &Structure,
-    config: &ApproxConfig,
-) -> Result<CountEstimate, CoreError> {
-    let report = Engine::from_config(config.clone())
-        .prepare(query)?
-        .count(db)?;
-    Ok(CountEstimate {
-        estimate: report.estimate,
-        method: report.method,
-        exact: report.exact,
-    })
-}
-
 /// Exact answer counting (baseline; exponential in the query size).
 pub fn exact_count_answers(query: &Query, db: &Structure) -> u64 {
     count_answers_via_solutions(query, db)
@@ -152,7 +111,9 @@ pub fn exact_count_answers(query: &Query, db: &Structure) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::error::{EvalError, PlanError};
+    use crate::report::CountMethod;
     use cqc_data::StructureBuilder;
     use cqc_query::parse_query;
 
@@ -168,21 +129,22 @@ mod tests {
     #[test]
     fn dispatch_by_query_class() {
         let db = tiny_db();
-        let cfg = ApproxConfig::new(0.25, 0.1).with_seed(1);
+        let engine = Engine::from_config(ApproxConfig::new(0.25, 0.1).with_seed(1));
+        let count = |q: &Query| engine.prepare(q).unwrap().count(&db).unwrap();
 
         let cq = parse_query("ans(x, y) :- E(x, z), E(z, y)").unwrap();
-        let r = approx_count_answers(&cq, &db, &cfg).unwrap();
+        let r = count(&cq);
         assert_eq!(r.method, CountMethod::Fpras);
         assert_eq!(r.estimate, exact_count_answers(&cq, &db) as f64);
 
         let dcq = parse_query("ans(x) :- E(x, y), E(x, z), y != z").unwrap();
-        let r = approx_count_answers(&dcq, &db, &cfg).unwrap();
+        let r = count(&dcq);
         assert_eq!(r.method, CountMethod::Fptras);
         let truth = exact_count_answers(&dcq, &db) as f64;
         assert!((r.estimate - truth).abs() <= 0.3 * truth.max(1.0));
 
         let ecq = parse_query("ans(x, y) :- E(x, y), !E(y, x)").unwrap();
-        let r = approx_count_answers(&ecq, &db, &cfg).unwrap();
+        let r = count(&ecq);
         assert_eq!(r.method, CountMethod::Fptras);
     }
 

@@ -6,15 +6,8 @@
 //! oracle-based framework (ablation A2 in EXPERIMENTS.md).
 
 use cqc_data::{Structure, Val};
-use cqc_query::{count_answers_bruteforce, is_answer, Query};
+use cqc_query::{is_answer, Query};
 use rand::Rng;
-
-/// The brute-force exact counter (re-exported for the benchmark harness):
-/// iterate over all `|U(D)|^ℓ` assignments of the free variables and test
-/// extendability.
-pub fn bruteforce_count(query: &Query, db: &Structure) -> u64 {
-    count_answers_bruteforce(query, db)
-}
 
 /// The naive Monte Carlo estimator: sample `samples` uniform assignments of
 /// the free variables, test each for being an answer, and scale the hit rate
@@ -55,7 +48,7 @@ pub fn naive_monte_carlo<R: Rng>(
 mod tests {
     use super::*;
     use cqc_data::StructureBuilder;
-    use cqc_query::parse_query;
+    use cqc_query::{count_answers_bruteforce, parse_query};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -73,7 +66,7 @@ mod tests {
         // every edge endpoint pair: 6 answers out of 36 cells
         let q = parse_query("ans(x, y) :- E(x, y)").unwrap();
         let db = db();
-        let truth = bruteforce_count(&q, &db) as f64;
+        let truth = count_answers_bruteforce(&q, &db) as f64;
         let mut rng = StdRng::seed_from_u64(1);
         let est = naive_monte_carlo(&q, &db, 20_000, &mut rng);
         assert!((est - truth).abs() <= 0.15 * truth);
@@ -89,7 +82,7 @@ mod tests {
         )
         .unwrap();
         let db = db();
-        let truth = bruteforce_count(&q, &db) as f64;
+        let truth = count_answers_bruteforce(&q, &db) as f64;
         assert!(truth > 0.0);
         let mut rng = StdRng::seed_from_u64(2);
         let est = naive_monte_carlo(&q, &db, 20, &mut rng);

@@ -28,26 +28,8 @@ use cqc_query::{build_a_structure, build_b_structure, query_hypergraph, Query, Q
 use cqc_runtime::{split_seed, Runtime};
 use std::collections::HashMap;
 
-/// Legacy diagnostic report of an FPRAS run, kept for the one-shot
-/// [`fpras_count`] wrapper. Prefer [`crate::Engine::prepare`] +
-/// [`crate::PreparedQuery::count`], which return the unified
-/// [`EstimateReport`].
-#[derive(Debug, Clone)]
-pub struct FprasReport {
-    /// The estimate (exact when `exact` is set).
-    pub estimate: f64,
-    /// Whether the N-slice was counted exactly.
-    pub exact: bool,
-    /// Fractional hypertreewidth of the decomposition that was used.
-    pub fhw: f64,
-    /// Number of tree-decomposition nodes (= automaton tree size `N`).
-    pub tree_nodes: usize,
-    /// Number of automaton states (`Σ_t |Sol_t|`).
-    pub states: usize,
-}
-
 /// The query-side plan of the FPRAS of Theorem 16: everything that depends
-/// only on `ϕ`, computed once by [`plan_fpras`] (or
+/// only on `ϕ`, computed once by [`plan_fpras_with`] (or
 /// [`crate::Engine::prepare`]) and reused across databases.
 #[derive(Debug)]
 pub struct FprasPlan {
@@ -83,18 +65,14 @@ fn shape_and_bags(nice: &NiceTreeDecomposition) -> (TreeShape, Vec<Vec<usize>>) 
 /// Query-side planning for the FPRAS of Theorem 16: class check,
 /// decomposition search, and construction of `A(ϕ)`.
 ///
+/// The decomposition candidate search fans out over `runtime`. The chosen
+/// decomposition — and hence every estimate computed from the plan — is
+/// bit-identical for any thread count (the parallel search keeps the first
+/// candidate attaining the minimum width, exactly like a serial one).
+///
 /// Returns a [`PlanError`](crate::PlanError) for queries with disequalities
 /// or negations — by Observation 10 no FPRAS exists for those (unless
 /// NP = RP); use the FPTRAS path instead.
-pub fn plan_fpras(query: &Query) -> Result<FprasPlan, CoreError> {
-    plan_fpras_with(query, &Runtime::serial())
-}
-
-/// [`plan_fpras`] with the decomposition candidate search fanned out over
-/// the given runtime. The chosen decomposition — and hence every estimate
-/// computed from the plan — is bit-identical for any thread count (the
-/// parallel search keeps the first candidate attaining the minimum width,
-/// exactly like the serial one).
 pub fn plan_fpras_with(query: &Query, runtime: &Runtime) -> Result<FprasPlan, CoreError> {
     if query.class() != QueryClass::CQ {
         return Err(CoreError::unsupported_query_class(
@@ -127,7 +105,7 @@ pub fn plan_fpras_with(query: &Query, runtime: &Runtime) -> Result<FprasPlan, Co
 /// Data-side evaluation of a prepared FPRAS plan against one database:
 /// per-bag solutions, the Lemma 52 automaton, and #TA counting.
 ///
-/// `plan` must come from [`plan_fpras`] on the same `query`; the pairing
+/// `plan` must come from [`plan_fpras_with`] on the same `query`; the pairing
 /// is not checked here (use [`crate::Engine::prepare`], which owns it).
 pub fn fpras_count_with_plan(
     query: &Query,
@@ -200,41 +178,9 @@ pub struct Lemma52Automaton {
     pub states: usize,
 }
 
-/// One-shot FPRAS of Theorem 16 on a CQ: plan, then evaluate.
-///
-/// Legacy wrapper over [`plan_fpras`] + [`fpras_count_with_plan`] — when
-/// counting against many databases, prefer [`crate::Engine::prepare`] so the
-/// decomposition search is paid once.
-pub fn fpras_count(
-    query: &Query,
-    db: &Structure,
-    config: &ApproxConfig,
-) -> Result<FprasReport, CoreError> {
-    config.validate()?;
-    let plan = plan_fpras(query)?;
-    let r = fpras_count_with_plan(query, &plan, db, config)?;
-    Ok(FprasReport {
-        estimate: r.estimate,
-        exact: r.exact,
-        fhw: plan.fhw,
-        tree_nodes: r.telemetry.tree_nodes,
-        states: r.telemetry.automaton_states,
-    })
-}
-
 /// Build the tree automaton of Lemma 52 for `(ϕ, D)` over the given nice tree
-/// decomposition of `H(ϕ)`.
-pub fn build_lemma52_automaton(
-    query: &Query,
-    db: &Structure,
-    nice: &NiceTreeDecomposition,
-) -> Result<Lemma52Automaton, CoreError> {
-    let a_structure = build_a_structure(query);
-    build_lemma52_automaton_with(query, &a_structure, db, nice)
-}
-
-/// [`build_lemma52_automaton`] with a pre-built `A(ϕ)` (the prepared-plan
-/// hot path: `A(ϕ)` is query-side and cached in [`FprasPlan`]).
+/// decomposition of `H(ϕ)`, with a pre-built `A(ϕ)` (query-side; cached in
+/// [`FprasPlan`]).
 pub fn build_lemma52_automaton_with(
     query: &Query,
     a_structure: &Structure,
@@ -382,6 +328,7 @@ fn build_automaton_in(
 mod tests {
     use super::*;
     use crate::api::ApproxConfig;
+    use crate::engine::{Backend, EngineBuilder};
     use cqc_data::StructureBuilder;
     use cqc_query::{count_answers_via_solutions, parse_query};
 
@@ -392,6 +339,19 @@ mod tests {
             seed,
             ..ApproxConfig::default()
         }
+    }
+
+    /// Prepare `query` with the FPRAS forced, then count it on `db`.
+    fn fpras(
+        query: &Query,
+        db: &Structure,
+        config: &ApproxConfig,
+    ) -> Result<EstimateReport, CoreError> {
+        EngineBuilder::from_config(config.clone())
+            .backend(Backend::Fpras)
+            .build()?
+            .prepare(query)?
+            .count(db)
     }
 
     fn path_graph(n: usize) -> Structure {
@@ -427,10 +387,10 @@ mod tests {
         let q = parse_query("ans(x, y) :- E(x, z), E(z, y)").unwrap();
         for db in [path_graph(6), random_graph(8, 3, 14)] {
             let truth = count_answers_via_solutions(&q, &db) as f64;
-            let r = fpras_count(&q, &db, &config(0.2, 0.05, 1)).unwrap();
+            let r = fpras(&q, &db, &config(0.2, 0.05, 1)).unwrap();
             assert!(r.exact);
             assert_eq!(r.estimate, truth, "db answers {truth}");
-            assert!(r.fhw <= 1.0 + 1e-6);
+            assert!(r.telemetry.fhw.unwrap() <= 1.0 + 1e-6);
         }
     }
 
@@ -441,7 +401,7 @@ mod tests {
         let q = parse_query("ans(x1, x2) :- E(y, x1), E(y, x2)").unwrap();
         for db in [path_graph(7), random_graph(9, 5, 18)] {
             let truth = count_answers_via_solutions(&q, &db) as f64;
-            let r = fpras_count(&q, &db, &config(0.2, 0.05, 2)).unwrap();
+            let r = fpras(&q, &db, &config(0.2, 0.05, 2)).unwrap();
             assert!(r.exact);
             assert_eq!(r.estimate, truth);
         }
@@ -455,7 +415,7 @@ mod tests {
         let truth = count_answers_via_solutions(&q, &db) as f64;
         let mut cfg = config(0.2, 0.05, 3);
         cfg.fpras_exact_state_budget = 0;
-        let r = fpras_count(&q, &db, &cfg).unwrap();
+        let r = fpras(&q, &db, &cfg).unwrap();
         assert!(!r.exact);
         assert!(
             (r.estimate - truth).abs() <= 0.3 * truth.max(1.0),
@@ -475,7 +435,7 @@ mod tests {
         }
         let db = b.build();
         let truth = count_answers_via_solutions(&q, &db) as f64;
-        let r = fpras_count(&q, &db, &config(0.25, 0.1, 4)).unwrap();
+        let r = fpras(&q, &db, &config(0.25, 0.1, 4)).unwrap();
         assert_eq!(r.estimate, truth);
     }
 
@@ -483,7 +443,7 @@ mod tests {
     fn no_answers_gives_zero() {
         let q = parse_query("ans(x) :- E(x, y), E(y, x)").unwrap();
         let db = path_graph(5); // no 2-cycles
-        let r = fpras_count(&q, &db, &config(0.3, 0.1, 5)).unwrap();
+        let r = fpras(&q, &db, &config(0.3, 0.1, 5)).unwrap();
         assert_eq!(r.estimate, 0.0);
     }
 
@@ -492,7 +452,7 @@ mod tests {
         let q = parse_query("ans(x) :- E(x, y), E(x, z), y != z").unwrap();
         let db = path_graph(4);
         assert!(matches!(
-            fpras_count(&q, &db, &config(0.3, 0.1, 6)),
+            fpras(&q, &db, &config(0.3, 0.1, 6)),
             Err(CoreError::Plan(crate::PlanError::UnsupportedQueryClass(_)))
         ));
     }
@@ -500,9 +460,9 @@ mod tests {
     #[test]
     fn boolean_cq() {
         let q = parse_query("ans() :- E(x, y), E(y, z)").unwrap();
-        let r = fpras_count(&q, &path_graph(4), &config(0.3, 0.1, 7)).unwrap();
+        let r = fpras(&q, &path_graph(4), &config(0.3, 0.1, 7)).unwrap();
         assert_eq!(r.estimate, 1.0);
-        let r = fpras_count(&q, &path_graph(2), &config(0.3, 0.1, 8)).unwrap();
+        let r = fpras(&q, &path_graph(2), &config(0.3, 0.1, 8)).unwrap();
         assert_eq!(r.estimate, 0.0);
     }
 }

@@ -22,27 +22,6 @@ use cqc_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Legacy diagnostic report of an FPTRAS run, kept for the one-shot
-/// [`fptras_count`] wrapper. Prefer [`crate::Engine::prepare`] +
-/// [`crate::PreparedQuery::count`], which return the unified
-/// [`EstimateReport`].
-#[derive(Debug, Clone)]
-pub struct FptrasReport {
-    /// The `(ε, δ)`-estimate of `|Ans(ϕ, D)|`.
-    pub estimate: f64,
-    /// Whether the edge counter resolved the count exactly (sparse regime).
-    pub exact: bool,
-    /// Number of `EdgeFree` oracle calls made by the edge counter.
-    pub oracle_calls: u64,
-    /// Number of `Hom` queries issued while simulating the oracle.
-    pub hom_calls: u64,
-    /// Colour-coding repetitions used per oracle call.
-    pub repetitions: usize,
-    /// Treewidth of the query hypergraph `H(ϕ)` (the FPT parameter of
-    /// Theorem 5), when it was cheap to compute.
-    pub query_treewidth: Option<usize>,
-}
-
 /// The query-side plan of the FPTRAS of Theorems 5 / 13: everything that
 /// depends only on `ϕ` (and the accuracy configuration), computed once by
 /// [`plan_fptras`] (or [`crate::Engine::prepare`]) and reused across
@@ -209,38 +188,11 @@ pub fn fptras_count_with_scratch(
     Ok(report)
 }
 
-/// One-shot FPTRAS of Theorem 5 (and, via the same code path with the
-/// unbounded-arity `Hom` engine, Theorem 13) on `(ϕ, D)`: plan, then
-/// evaluate.
-///
-/// Works for every ECQ; the fixed-parameter tractability guarantee applies
-/// when the hypergraph `H(ϕ)` has bounded treewidth (bounded arity) or the
-/// query is a DCQ of bounded adaptive width. Legacy wrapper over
-/// [`plan_fptras`] + [`fptras_count_with_plan`] — when counting against
-/// many databases, prefer [`crate::Engine::prepare`] so `Â(ϕ)` and the
-/// repetition budget are computed once.
-pub fn fptras_count(
-    query: &Query,
-    db: &Structure,
-    config: &ApproxConfig,
-) -> Result<FptrasReport, CoreError> {
-    config.validate()?;
-    let plan = plan_fptras(query, config);
-    let r = fptras_count_with_plan(query, &plan, db, config)?;
-    Ok(FptrasReport {
-        estimate: r.estimate,
-        exact: r.exact,
-        oracle_calls: r.telemetry.oracle_calls,
-        hom_calls: r.telemetry.hom_calls,
-        repetitions: plan.repetitions,
-        query_treewidth: plan.query_treewidth(query),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::ApproxConfig;
+    use crate::engine::{Backend, EngineBuilder};
     use cqc_data::StructureBuilder;
     use cqc_query::{count_answers_via_solutions, parse_query};
 
@@ -251,6 +203,19 @@ mod tests {
             seed,
             ..ApproxConfig::default()
         }
+    }
+
+    /// Prepare `query` with the FPTRAS forced, then count it on `db`.
+    fn fptras(
+        query: &Query,
+        db: &Structure,
+        config: &ApproxConfig,
+    ) -> Result<EstimateReport, CoreError> {
+        EngineBuilder::from_config(config.clone())
+            .backend(Backend::Fptras)
+            .build()?
+            .prepare(query)?
+            .count(db)
     }
 
     fn random_graph(n: usize, edges: &[(u32, u32)]) -> Structure {
@@ -280,15 +245,15 @@ mod tests {
             ],
         );
         let truth = count_answers_via_solutions(&q, &db) as f64;
-        let r = fptras_count(&q, &db, &config(0.2, 0.05, 1)).unwrap();
+        let r = fptras(&q, &db, &config(0.2, 0.05, 1)).unwrap();
         assert!(
             (r.estimate - truth).abs() <= 0.25 * truth.max(1.0),
             "estimate {} vs truth {}",
             r.estimate,
             truth
         );
-        assert_eq!(r.query_treewidth, Some(1));
-        assert!(r.hom_calls > 0);
+        assert_eq!(r.telemetry.query_treewidth, Some(1));
+        assert!(r.telemetry.hom_calls > 0);
     }
 
     #[test]
@@ -297,7 +262,7 @@ mod tests {
         let q = parse_query("ans(x, y) :- F(x, y), !F(y, x)").unwrap();
         let db = random_graph(5, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 1)]);
         let truth = count_answers_via_solutions(&q, &db) as f64;
-        let r = fptras_count(&q, &db, &config(0.2, 0.05, 2)).unwrap();
+        let r = fptras(&q, &db, &config(0.2, 0.05, 2)).unwrap();
         assert!(
             (r.estimate - truth).abs() <= 0.25 * truth.max(1.0),
             "estimate {} vs truth {}",
@@ -311,7 +276,7 @@ mod tests {
         let q = parse_query("ans(x, y) :- F(x, z), F(z, y)").unwrap();
         let db = random_graph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let truth = count_answers_via_solutions(&q, &db) as f64;
-        let r = fptras_count(&q, &db, &config(0.3, 0.1, 3)).unwrap();
+        let r = fptras(&q, &db, &config(0.3, 0.1, 3)).unwrap();
         assert_eq!(r.estimate, truth);
         assert!(r.exact);
     }
@@ -320,10 +285,10 @@ mod tests {
     fn boolean_query() {
         let q = parse_query("ans() :- F(x, y), F(y, z)").unwrap();
         let db = random_graph(4, &[(0, 1), (1, 2)]);
-        let r = fptras_count(&q, &db, &config(0.3, 0.1, 4)).unwrap();
+        let r = fptras(&q, &db, &config(0.3, 0.1, 4)).unwrap();
         assert_eq!(r.estimate, 1.0);
         let empty = random_graph(4, &[(0, 1)]);
-        let r = fptras_count(&q, &empty, &config(0.3, 0.1, 5)).unwrap();
+        let r = fptras(&q, &empty, &config(0.3, 0.1, 5)).unwrap();
         assert_eq!(r.estimate, 0.0);
     }
 
@@ -331,7 +296,7 @@ mod tests {
     fn incompatible_database_is_rejected() {
         let q = parse_query("ans(x) :- Nope(x, y)").unwrap();
         let db = random_graph(3, &[(0, 1)]);
-        assert!(fptras_count(&q, &db, &config(0.3, 0.1, 6)).is_err());
+        assert!(fptras(&q, &db, &config(0.3, 0.1, 6)).is_err());
     }
 
     #[test]
@@ -339,7 +304,7 @@ mod tests {
         // nobody has two distinct friends in a perfect matching
         let q = parse_query("ans(x) :- F(x, y), F(x, z), y != z").unwrap();
         let db = random_graph(6, &[(0, 1), (2, 3), (4, 5)]);
-        let r = fptras_count(&q, &db, &config(0.3, 0.1, 7)).unwrap();
+        let r = fptras(&q, &db, &config(0.3, 0.1, 7)).unwrap();
         assert_eq!(r.estimate, 0.0);
     }
 }

@@ -62,7 +62,7 @@ pub fn directed_graph_database(n: usize, edges: &[(usize, usize)]) -> Structure 
 mod tests {
     use super::*;
     use crate::api::ApproxConfig;
-    use crate::fptras::fptras_count;
+    use crate::engine::{Backend, EngineBuilder};
     use cqc_query::{count_answers_via_solutions, query_hypergraph, QueryClass};
 
     #[test]
@@ -120,7 +120,11 @@ mod tests {
             colour_repetitions: Some(400),
             ..Default::default()
         };
-        let r = fptras_count(&q, &db, &cfg).unwrap();
+        let engine = EngineBuilder::from_config(cfg)
+            .backend(Backend::Fptras)
+            .build()
+            .unwrap();
+        let r = engine.prepare(&q).unwrap().count(&db).unwrap();
         assert!(
             (r.estimate - truth).abs() <= 0.35 * truth,
             "estimate {} vs truth {}",

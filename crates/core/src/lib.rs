@@ -20,22 +20,27 @@
 //! Errors split into query-side [`PlanError`]s and data-side [`EvalError`]s
 //! under the [`CoreError`] umbrella.
 //!
-//! ## Legacy one-shot entry points
+//! ## The schemes behind the engine
 //!
-//! * [`approx_count_answers`] — dispatching front end: FPRAS (Theorem 16)
-//!   for plain CQs, FPTRAS (Theorems 5 / 13) for queries with disequalities
-//!   and/or negations. Re-plans the query on every call.
-//! * [`fptras_count`] — the FPTRAS of Theorems 5 and 13: the
+//! * [`Backend::Fptras`] — the FPTRAS of Theorems 5 and 13: the
 //!   Dell–Lapinskas–Meeks edge counter driven by a colour-coding `EdgeFree`
 //!   oracle simulated through `Hom` queries (Section 3, Lemmas 22 and 30).
-//! * [`fpras_count`] — the FPRAS of Theorem 16 for CQs of bounded fractional
-//!   hypertreewidth: nice tree decomposition → per-bag solutions (Lemma 48)
-//!   → tree automaton (Lemma 52) → #TA counting (Lemma 51).
-//! * [`exact_count_answers`] / [`naive_monte_carlo`] — baselines.
-//! * [`sample_answers`] — approximately uniform answer sampling (Section 6).
+//! * [`Backend::Fpras`] — the FPRAS of Theorem 16 for CQs of bounded
+//!   fractional hypertreewidth: nice tree decomposition → per-bag solutions
+//!   (Lemma 48) → tree automaton (Lemma 52) → #TA counting (Lemma 51).
+//! * [`Backend::Auto`] — the Figure 1 dispatch between the two.
+//! * [`Backend::Exact`], [`exact_count_answers`] and [`naive_monte_carlo`] —
+//!   baselines.
+//!
+//! Beside the engine:
+//!
 //! * [`count_union`] — Karp–Luby counting for unions of queries (Section 6).
 //! * [`count_locally_injective_homomorphisms`] — Corollary 6.
 //! * [`hamiltonian_path_query`] — the Observation 10 construction.
+//!
+//! The per-scheme plan functions ([`plan_fpras_with`], [`plan_fptras`] and
+//! their `*_with_plan` evaluators) stay public for layer-by-layer
+//! benchmarking; [`Engine::prepare`] owns the pairing of plan and query.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,20 +58,17 @@ pub mod report;
 pub mod sampling;
 pub mod unions;
 
-pub use api::{approx_count_answers, exact_count_answers, ApproxConfig, CountEstimate};
-pub use baseline::{bruteforce_count, naive_monte_carlo};
+pub use api::{exact_count_answers, ApproxConfig};
+pub use baseline::naive_monte_carlo;
 pub use engine::{auto_method, Backend, Engine, EngineBuilder, PlanSummary, PreparedQuery};
 pub use error::{CoreError, EvalError, PlanError};
-pub use fpras::{
-    fpras_count, fpras_count_with_plan, plan_fpras, plan_fpras_with, FprasPlan, FprasReport,
-};
+pub use fpras::{fpras_count_with_plan, plan_fpras_with, FprasPlan};
 pub use fptras::{
-    fptras_count, fptras_count_with_plan, fptras_count_with_scratch, plan_fptras, EvalScratch,
-    FptrasPlan, FptrasReport,
+    fptras_count_with_plan, fptras_count_with_scratch, plan_fptras, EvalScratch, FptrasPlan,
 };
 pub use hamiltonian::{hamiltonian_path_query, undirected_graph_database};
 pub use lihom::{count_locally_injective_homomorphisms, locally_injective_query};
 pub use oracle::AnswerOracle;
 pub use report::{CountMethod, EstimateReport, Telemetry};
-pub use sampling::{sample_answers, sample_answers_with_plan};
+pub use sampling::sample_answers_with_plan;
 pub use unions::count_union;

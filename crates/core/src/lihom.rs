@@ -14,8 +14,9 @@
 //! (Corollary 6).
 
 use crate::api::ApproxConfig;
+use crate::engine::{Backend, EngineBuilder};
 use crate::error::CoreError;
-use crate::fptras::{fptras_count, FptrasReport};
+use crate::report::EstimateReport;
 use cqc_data::{Structure, StructureBuilder};
 use cqc_query::{Query, QueryBuilder};
 use std::collections::BTreeSet;
@@ -111,10 +112,14 @@ pub fn count_locally_injective_homomorphisms(
     host_n: usize,
     host_edges: &[(usize, usize)],
     config: &ApproxConfig,
-) -> Result<FptrasReport, CoreError> {
+) -> Result<EstimateReport, CoreError> {
     let query = locally_injective_query(pattern);
     let db = host_graph_database(host_n, host_edges);
-    fptras_count(&query, &db, config)
+    EngineBuilder::from_config(config.clone())
+        .backend(Backend::Fptras)
+        .build()?
+        .prepare(&query)?
+        .count(&db)
 }
 
 #[cfg(test)]

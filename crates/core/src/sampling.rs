@@ -9,7 +9,7 @@
 
 use crate::api::ApproxConfig;
 use crate::error::CoreError;
-use crate::fptras::{plan_fptras, FptrasPlan};
+use crate::fptras::FptrasPlan;
 use crate::oracle::AnswerOracle;
 use cqc_data::{Structure, Val};
 use cqc_dlm::sample_edge;
@@ -18,8 +18,11 @@ use cqc_query::{build_b_structure, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// [`sample_answers`] with a prepared plan (the oracle skeleton `Â(ϕ)` and
-/// the repetition budget are query-side and cached in [`FptrasPlan`]).
+/// Draw `count` (approximately) uniform answers of `(ϕ, D)` with a prepared
+/// plan (the oracle skeleton `Â(ϕ)` and the repetition budget are
+/// query-side and cached in [`FptrasPlan`]). Returns fewer than `count`
+/// tuples only when the query has no answers at all. Each returned tuple
+/// lists the values of the free variables in head order.
 ///
 /// `plan` must come from [`crate::plan_fptras`] on the same `query`; the
 /// pairing is not checked here (use [`crate::Engine::prepare`], which owns
@@ -63,29 +66,23 @@ pub fn sample_answers_with_plan(
     Ok(out)
 }
 
-/// Draw `count` (approximately) uniform answers of `(ϕ, D)`. Returns fewer
-/// than `count` tuples only when the query has no answers at all.
-/// Each returned tuple lists the values of the free variables in head order.
-///
-/// Legacy wrapper over [`plan_fptras`] + [`sample_answers_with_plan`] —
-/// when sampling against many databases, prefer [`crate::Engine::prepare`].
-pub fn sample_answers(
-    query: &Query,
-    db: &Structure,
-    count: usize,
-    config: &ApproxConfig,
-) -> Result<Vec<Vec<Val>>, CoreError> {
-    config.validate()?;
-    let plan = plan_fptras(query, config);
-    sample_answers_with_plan(query, &plan, db, count, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use cqc_data::StructureBuilder;
     use cqc_query::{enumerate_answers, parse_query};
     use std::collections::BTreeMap;
+
+    fn draw_samples(
+        query: &Query,
+        db: &Structure,
+        count: usize,
+        config: &ApproxConfig,
+    ) -> Vec<Vec<Val>> {
+        let prepared = Engine::from_config(config.clone()).prepare(query).unwrap();
+        prepared.sample(db, count).unwrap()
+    }
 
     fn db() -> Structure {
         let mut b = StructureBuilder::new(6);
@@ -103,7 +100,7 @@ mod tests {
         let answers = enumerate_answers(&q, &db);
         assert!(answers.len() >= 2);
         let cfg = ApproxConfig::new(0.3, 0.05).with_seed(9);
-        let samples = sample_answers(&q, &db, 60, &cfg).unwrap();
+        let samples = draw_samples(&q, &db, 60, &cfg);
         assert_eq!(samples.len(), 60);
         let mut freq: BTreeMap<Vec<Val>, usize> = BTreeMap::new();
         for s in samples {
@@ -119,7 +116,7 @@ mod tests {
         let q = parse_query("ans(x) :- F(x, x)").unwrap();
         let db = db();
         let cfg = ApproxConfig::new(0.3, 0.05).with_seed(10);
-        let samples = sample_answers(&q, &db, 5, &cfg).unwrap();
+        let samples = draw_samples(&q, &db, 5, &cfg);
         assert!(samples.is_empty());
     }
 
@@ -129,7 +126,7 @@ mod tests {
         let db = db();
         let answers = enumerate_answers(&q, &db);
         let cfg = ApproxConfig::new(0.3, 0.05).with_seed(11);
-        let samples = sample_answers(&q, &db, 30, &cfg).unwrap();
+        let samples = draw_samples(&q, &db, 30, &cfg);
         for s in samples {
             assert!(answers.contains(&s));
         }

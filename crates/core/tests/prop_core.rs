@@ -9,8 +9,8 @@
 //! twice the configured ε to keep the suite deterministic in practice.
 
 use cqc_core::{
-    approx_count_answers, count_union, exact_count_answers, fpras_count, fptras_count,
-    naive_monte_carlo, sample_answers, ApproxConfig, CountMethod,
+    count_union, exact_count_answers, naive_monte_carlo, ApproxConfig, Backend, CountMethod,
+    EngineBuilder, PreparedQuery,
 };
 use cqc_data::{Structure, StructureBuilder};
 use cqc_query::{enumerate_answers, parse_query, Query, QueryClass};
@@ -40,6 +40,15 @@ fn graph_db(raw: &RawGraph) -> Structure {
         b.fact("E", &[u, v]).unwrap();
     }
     b.build()
+}
+
+/// Prepare `query` under `config` with the given backend.
+fn prepare(backend: Backend, query: &Query, config: &ApproxConfig) -> PreparedQuery {
+    let engine = EngineBuilder::from_config(config.clone())
+        .backend(backend)
+        .build()
+        .unwrap();
+    engine.prepare(query).unwrap()
 }
 
 /// The fixed pool of bounded-treewidth queries the properties range over.
@@ -75,7 +84,7 @@ proptest! {
         let cfg = ApproxConfig::new(0.25, 0.02).with_seed(seed);
         for (name, q) in query_pool() {
             let truth = exact_count_answers(&q, &db) as f64;
-            let r = fptras_count(&q, &db, &cfg).unwrap();
+            let r = prepare(Backend::Fptras, &q, &cfg).count(&db).unwrap();
             prop_assert!(
                 (r.estimate - truth).abs() <= 0.5 * truth.max(1.0),
                 "{name}: fptras {} vs exact {}",
@@ -95,7 +104,7 @@ proptest! {
                 continue;
             }
             let truth = exact_count_answers(&q, &db) as f64;
-            let r = fpras_count(&q, &db, &cfg).unwrap();
+            let r = prepare(Backend::Fpras, &q, &cfg).count(&db).unwrap();
             prop_assert!(
                 (r.estimate - truth).abs() <= 0.5 * truth.max(1.0),
                 "{name}: fpras {} vs exact {}",
@@ -113,7 +122,7 @@ proptest! {
         let db = graph_db(&raw);
         let cfg = ApproxConfig::new(0.25, 0.02).with_seed(seed);
         for (name, q) in query_pool() {
-            let r = approx_count_answers(&q, &db, &cfg).unwrap();
+            let r = prepare(Backend::Auto, &q, &cfg).count(&db).unwrap();
             match q.class() {
                 QueryClass::CQ => prop_assert!(
                     r.method == CountMethod::Fpras || r.method == CountMethod::Exact,
@@ -145,7 +154,7 @@ proptest! {
         let cfg = ApproxConfig::new(0.3, 0.05).with_seed(seed);
         for (name, q) in query_pool() {
             let answers = enumerate_answers(&q, &db);
-            let samples = sample_answers(&q, &db, 8, &cfg).unwrap();
+            let samples = prepare(Backend::Auto, &q, &cfg).sample(&db, 8).unwrap();
             if answers.is_empty() {
                 prop_assert!(samples.is_empty(), "{name}: sampled from an empty answer set");
             } else {

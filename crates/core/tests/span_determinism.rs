@@ -14,6 +14,17 @@ use cqc_core::{Backend, Engine};
 use cqc_data::StructureBuilder;
 use cqc_obs::trace::{build_forest, drain, set_enabled};
 use cqc_query::parse_query;
+use std::sync::{Mutex, MutexGuard};
+
+/// The tracer is process-global: both tests toggle it and `drain()` every
+/// thread's buffer, so they would steal each other's spans if they ran
+/// concurrently. Each test holds this guard for its whole body.
+static TRACER: Mutex<()> = Mutex::new(());
+
+fn tracer_guard() -> MutexGuard<'static, ()> {
+    // a failed sibling test must not cascade into this one
+    TRACER.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn graph_db() -> cqc_data::Structure {
     let mut b = StructureBuilder::new(6);
@@ -47,6 +58,7 @@ fn traced_shape(query: &str, backend: Backend, seed: u64) -> String {
 
 #[test]
 fn same_seed_serial_runs_record_identical_span_trees() {
+    let _tracer = tracer_guard();
     set_enabled(false);
     let _ = drain(); // isolate from anything the harness ran before us
     for (query, backend) in [
@@ -67,6 +79,7 @@ fn same_seed_serial_runs_record_identical_span_trees() {
 
 #[test]
 fn fptras_span_trees_nest_repetitions_under_oracle_calls() {
+    let _tracer = tracer_guard();
     set_enabled(false);
     let _ = drain();
     let shape = traced_shape(

@@ -211,10 +211,12 @@ impl FlightSnapshot {
 mod tests {
     use super::*;
 
-    /// The recorder is process-global state; exercise it from one test so
-    /// parallel test threads cannot interleave rings.
+    /// The recorder is process-global state; exercise it from one test, under
+    /// the crate's global-state guard, so parallel test threads cannot
+    /// interleave rings.
     #[test]
     fn rings_bound_drop_oldest_and_snapshot() {
+        let _global = crate::global_state_guard();
         reset();
         set_enabled(true);
 

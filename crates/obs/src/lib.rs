@@ -48,3 +48,14 @@ pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use seed::{split_seed, split_seed2};
 pub use trace::Span;
 pub use wide::{Outcome, WideEvent, WideLog};
+
+/// Serialises the unit tests that toggle or observe a process-global (the
+/// tracer, the flight recorder, the wide-event gate — the recorder mirrors
+/// trace and wide events, so the three interact): each holds this guard
+/// for its whole body.
+#[cfg(test)]
+pub(crate) fn global_state_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // a failed sibling test must not cascade into this one
+    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -280,7 +280,12 @@ pub fn drain() -> Trace {
     trace
 }
 
-pub(crate) fn escape_json(raw: &str, out: &mut String) {
+/// Append `raw` to `out` as the body of a JSON string literal (no
+/// surrounding quotes): quotes, backslashes and control characters are
+/// escaped. The workspace's one JSON string escaper — the trace and
+/// wide-event NDJSON, the serve wire format and the audit report all write
+/// strings through it.
+pub fn escape_json(raw: &str, out: &mut String) {
     for c in raw.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -514,10 +519,12 @@ mod tests {
     use super::*;
     use crate::seed::split_seed;
 
-    /// The tracer is process-global state; exercise it from one test so
-    /// parallel test threads cannot interleave buffers.
+    /// The tracer is process-global state; exercise it from one test, under
+    /// the crate's global-state guard, so parallel test threads cannot
+    /// interleave buffers.
     #[test]
     fn spans_nest_record_and_reassemble() {
+        let _global = crate::global_state_guard();
         set_enabled(true);
         let _ = drain(); // isolate from any earlier traffic on this thread
         {

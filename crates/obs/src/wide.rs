@@ -320,6 +320,7 @@ pub fn phases_take() -> Phases {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global_state_guard;
 
     fn event(seq_hint: u64) -> WideEvent {
         WideEvent {
@@ -357,6 +358,7 @@ mod tests {
 
     #[test]
     fn log_is_gated_bounded_and_counts_evictions() {
+        let _global = global_state_guard();
         let log = WideLog::new(2);
 
         // Disabled: nothing lands.
@@ -385,6 +387,7 @@ mod tests {
 
     #[test]
     fn file_sink_receives_every_record() {
+        let _global = global_state_guard();
         let path =
             std::env::temp_dir().join(format!("cqc-widelog-test-{}.ndjson", std::process::id()));
         let log = WideLog::new(1);

@@ -30,7 +30,11 @@ fn main() {
             colour_repetitions: Some(4usize.pow((n * (n - 1) / 2) as u32).min(8192)),
             ..Default::default()
         };
-        let r = fptras_count(&q, &db, &cfg).unwrap();
+        let engine = EngineBuilder::from_config(cfg)
+            .backend(Backend::Fptras)
+            .build()
+            .unwrap();
+        let r = engine.prepare(&q).unwrap().count(&db).unwrap();
         println!(
             "{name:9}  n = {n}, ‖ϕ‖ = {:3}, tw(H(ϕ)) = {tw}, |Δ| = {:2}   directed Hamiltonian paths: exact = {exact:3}, FPTRAS ≈ {:5.1}",
             q.size(),

@@ -48,7 +48,11 @@ fn main() {
 
 fn report(name: &str, q: &Query, db: &Database, cfg: &ApproxConfig) {
     let exact = exact_count_answers(q, db);
-    let est = approx_count_answers(q, db, cfg).unwrap();
+    let est = Engine::from_config(cfg.clone())
+        .prepare(q)
+        .unwrap()
+        .count(db)
+        .unwrap();
     println!(
         "{name:35}  exact = {exact:6}   estimate = {:8.1}   method = {:?}",
         est.estimate, est.method

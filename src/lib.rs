@@ -62,10 +62,9 @@
 //! assert!(reports[0].telemetry.oracle_calls > 0);
 //! ```
 //!
-//! For one-off calls the legacy free functions
-//! ([`prelude::approx_count_answers`], [`prelude::sample_answers`], …)
-//! remain available; they are thin wrappers that plan and evaluate in one
-//! step, and return bit-identical estimates for the same seed.
+//! Counting and sampling always go through a prepared query; a one-off
+//! count is `engine.prepare(&q)?.count(&db)?`. Pick the scheme with
+//! [`prelude::Backend`] (the default, `Auto`, is the Figure 1 dispatch).
 
 #![forbid(unsafe_code)]
 
@@ -83,11 +82,10 @@ pub use cqc_workloads as workloads;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use cqc_core::{
-        approx_count_answers, count_locally_injective_homomorphisms, count_union,
-        exact_count_answers, fpras_count, fptras_count, hamiltonian_path_query, naive_monte_carlo,
-        sample_answers, undirected_graph_database, ApproxConfig, Backend, CoreError, CountEstimate,
-        CountMethod, Engine, EngineBuilder, EstimateReport, EvalError, PlanError, PlanSummary,
-        PreparedQuery, Telemetry,
+        count_locally_injective_homomorphisms, count_union, exact_count_answers,
+        hamiltonian_path_query, naive_monte_carlo, undirected_graph_database, ApproxConfig,
+        Backend, CoreError, CountMethod, Engine, EngineBuilder, EstimateReport, EvalError,
+        PlanError, PlanSummary, PreparedQuery, Telemetry,
     };
     pub use cqc_data::{Database, Structure, StructureBuilder, Val};
     pub use cqc_query::{parse_query, Query, QueryBuilder, QueryClass};

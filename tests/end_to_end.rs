@@ -13,6 +13,21 @@ fn small_random_db(n: usize, avg_deg: f64, seed: u64) -> Database {
     graph_database(&g, "E", false)
 }
 
+/// Prepare `query` under `config` with the given backend, then count it on
+/// `db`.
+fn count_with(
+    backend: Backend,
+    query: &Query,
+    db: &Database,
+    config: &ApproxConfig,
+) -> EstimateReport {
+    let engine = EngineBuilder::from_config(config.clone())
+        .backend(backend)
+        .build()
+        .unwrap();
+    engine.prepare(query).unwrap().count(db).unwrap()
+}
+
 #[test]
 fn figure1_dispatch_and_accuracy() {
     let db = small_random_db(25, 3.0, 1);
@@ -20,21 +35,21 @@ fn figure1_dispatch_and_accuracy() {
 
     // CQ → FPRAS
     let cq = parse_query("ans(x, y) :- E(x, z), E(z, y)").unwrap();
-    let r = approx_count_answers(&cq, &db, &cfg).unwrap();
+    let r = count_with(Backend::Auto, &cq, &db, &cfg);
     assert_eq!(r.method, CountMethod::Fpras);
     let truth = exact_count_answers(&cq, &db) as f64;
     assert!((r.estimate - truth).abs() <= 0.3 * truth.max(1.0));
 
     // DCQ → FPTRAS
     let dcq = parse_query("ans(x) :- E(x, y), E(x, z), y != z").unwrap();
-    let r = approx_count_answers(&dcq, &db, &cfg).unwrap();
+    let r = count_with(Backend::Auto, &dcq, &db, &cfg);
     assert_eq!(r.method, CountMethod::Fptras);
     let truth = exact_count_answers(&dcq, &db) as f64;
     assert!((r.estimate - truth).abs() <= 0.3 * truth.max(1.0));
 
     // ECQ → FPTRAS
     let ecq = parse_query("ans(x, y) :- E(x, y), !E(y, x)").unwrap();
-    let r = approx_count_answers(&ecq, &db, &cfg).unwrap();
+    let r = count_with(Backend::Auto, &ecq, &db, &cfg);
     assert_eq!(r.method, CountMethod::Fptras);
     let truth = exact_count_answers(&ecq, &db) as f64;
     assert!((r.estimate - truth).abs() <= 0.3 * truth.max(1.0));
@@ -54,10 +69,11 @@ fn paper_query_1_on_a_social_network() {
     let truth = exact_count_answers(&q, &db) as f64;
     assert_eq!(truth, 2.0); // persons 0 and 3
     let cfg = ApproxConfig::new(0.2, 0.05).with_seed(3);
-    let r = fptras_count(&q, &db, &cfg).unwrap();
+    let r = count_with(Backend::Fptras, &q, &db, &cfg);
     assert!((r.estimate - truth).abs() <= 0.25 * truth);
     // sampling returns only actual answers
-    let samples = sample_answers(&q, &db, 20, &cfg).unwrap();
+    let prepared = Engine::from_config(cfg).prepare(&q).unwrap();
+    let samples = prepared.sample(&db, 20).unwrap();
     for s in samples {
         assert!(s[0] == Val(0) || s[0] == Val(3));
     }
@@ -76,8 +92,8 @@ fn fpras_and_fptras_agree_on_plain_cqs() {
     ];
     for (spec, db) in cases {
         let truth = exact_count_answers(&spec.query, &db) as f64;
-        let fpras = fpras_count(&spec.query, &db, &cfg).unwrap().estimate;
-        let fptras = fptras_count(&spec.query, &db, &cfg).unwrap().estimate;
+        let fpras = count_with(Backend::Fpras, &spec.query, &db, &cfg).estimate;
+        let fptras = count_with(Backend::Fptras, &spec.query, &db, &cfg).estimate;
         assert!(
             (fpras - truth).abs() <= 0.3 * truth.max(1.0),
             "{}: fpras {} truth {}",
@@ -146,7 +162,7 @@ fn star_query_scaling_smoke_test() {
     let spec = star_query(2, true);
     let truth = exact_count_answers(&spec.query, &db) as f64;
     let cfg = ApproxConfig::new(0.3, 0.1).with_seed(9);
-    let r = fptras_count(&spec.query, &db, &cfg).unwrap();
+    let r = count_with(Backend::Fptras, &spec.query, &db, &cfg);
     assert!(
         (r.estimate - truth).abs() <= 0.35 * truth.max(1.0),
         "estimate {} truth {}",

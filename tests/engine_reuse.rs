@@ -1,10 +1,12 @@
 //! Plan-reuse guarantees of the `Engine` / `PreparedQuery` API.
 //!
-//! The contract the prepared-statement redesign rests on: for a fixed seed,
-//! evaluating a *prepared* query must be bit-identical to the legacy
-//! one-shot path — across query classes (CQ / DCQ / ECQ), databases, and
-//! repeated evaluations — because both paths run the same data-side code
-//! with the same RNG streams. Workloads come from `cqc-workloads`.
+//! The contract the prepared-statement design rests on: plans are
+//! query-side and seed-independent, so for a fixed seed a plan prepared
+//! once and reused must evaluate bit-identically to a fresh
+//! `Engine::prepare` per database, and forcing the backend that
+//! `Backend::Auto` picks must not change a bit either — across query
+//! classes (CQ / DCQ / ECQ), databases and repeated evaluations. Workloads
+//! come from `cqc-workloads`.
 
 use cqcount::prelude::*;
 use cqcount::workloads::{
@@ -39,44 +41,62 @@ fn workload_queries() -> Vec<(QueryClass, Query)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `PreparedQuery::count` with a fixed seed returns bit-identical
-    /// estimates to the one-shot path, for every query class and every
-    /// database.
+    /// A plan prepared once and reused returns bit-identical estimates to a
+    /// fresh `Engine::prepare` per database, for every query class.
     #[test]
-    fn prepared_count_is_bit_identical_to_one_shot(seed in any::<u64>(), db_seed in any::<u64>()) {
+    fn reused_plan_count_is_bit_identical_to_fresh_plans(seed in any::<u64>(), db_seed in any::<u64>()) {
         let engine = Engine::builder().accuracy(0.25, 0.05).seed(seed).build().unwrap();
-        let cfg = engine.config().clone();
         let dbs = [
             snapshot(10, 2.5, db_seed),
             snapshot(14, 3.0, db_seed ^ 0xA5A5),
             snapshot(18, 2.0, db_seed ^ 0x5A5A),
         ];
         for (class, q) in workload_queries() {
-            let prepared = engine.prepare(&q).unwrap();
+            let reused = engine.prepare(&q).unwrap();
             for db in &dbs {
-                let r = prepared.count(db).unwrap();
-                let one_shot = approx_count_answers(&q, db, &cfg).unwrap();
+                let r = reused.count(db).unwrap();
+                let fresh = engine.prepare(&q).unwrap().count(db).unwrap();
                 prop_assert_eq!(
                     r.estimate.to_bits(),
-                    one_shot.estimate.to_bits(),
-                    "{:?}: prepared {} vs one-shot {}",
+                    fresh.estimate.to_bits(),
+                    "{:?}: reused {} vs fresh {}",
                     class,
                     r.estimate,
-                    one_shot.estimate
+                    fresh.estimate
                 );
-                prop_assert_eq!(r.method, one_shot.method);
-                // and the legacy per-scheme entry points agree too
-                match r.method {
-                    CountMethod::Fpras => prop_assert_eq!(
-                        r.estimate.to_bits(),
-                        fpras_count(&q, db, &cfg).unwrap().estimate.to_bits()
-                    ),
-                    CountMethod::Fptras => prop_assert_eq!(
-                        r.estimate.to_bits(),
-                        fptras_count(&q, db, &cfg).unwrap().estimate.to_bits()
-                    ),
-                    CountMethod::Exact => {}
-                }
+                prop_assert_eq!(r.method, fresh.method);
+            }
+        }
+    }
+
+    /// Forcing the scheme the Figure 1 dispatch picks — `Backend::Fpras`
+    /// for CQs, `Backend::Fptras` for DCQs and ECQs — returns bit-identical
+    /// estimates to `Backend::Auto`.
+    #[test]
+    fn forced_backend_is_bit_identical_to_auto(seed in any::<u64>(), db_seed in any::<u64>()) {
+        let auto = Engine::builder().accuracy(0.25, 0.05).seed(seed).build().unwrap();
+        let dbs = [snapshot(10, 2.5, db_seed), snapshot(14, 3.0, db_seed ^ 0xA5A5)];
+        for (class, q) in workload_queries() {
+            let backend = match class {
+                QueryClass::CQ => Backend::Fpras,
+                QueryClass::DCQ | QueryClass::ECQ => Backend::Fptras,
+            };
+            let forced = EngineBuilder::from_config(auto.config().clone())
+                .backend(backend)
+                .build()
+                .unwrap()
+                .prepare(&q)
+                .unwrap();
+            let dispatched = auto.prepare(&q).unwrap();
+            prop_assert_eq!(forced.method(), dispatched.method());
+            for db in &dbs {
+                prop_assert_eq!(
+                    forced.count(db).unwrap().estimate.to_bits(),
+                    dispatched.count(db).unwrap().estimate.to_bits(),
+                    "{:?} forced to {:?}",
+                    class,
+                    backend
+                );
             }
         }
     }
@@ -102,17 +122,19 @@ proptest! {
         }
     }
 
-    /// Prepared sampling equals one-shot sampling for the same seed.
+    /// Sampling with a reused plan draws exactly what a fresh plan draws
+    /// for the same seed.
     #[test]
-    fn prepared_sampling_is_bit_identical_to_one_shot(seed in any::<u64>()) {
+    fn reused_plan_sampling_is_bit_identical_to_fresh_plans(seed in any::<u64>()) {
         let engine = Engine::builder().accuracy(0.3, 0.05).seed(seed).build().unwrap();
-        let cfg = engine.config().clone();
-        let db = snapshot(12, 3.0, seed ^ 0xBEEF);
+        let dbs = [snapshot(12, 3.0, seed ^ 0xBEEF), snapshot(9, 2.5, seed ^ 0xF00D)];
         for (_, q) in workload_queries() {
-            let prepared = engine.prepare(&q).unwrap();
-            let a = prepared.sample(&db, 6).unwrap();
-            let b = sample_answers(&q, &db, 6, &cfg).unwrap();
-            prop_assert_eq!(a, b);
+            let reused = engine.prepare(&q).unwrap();
+            for db in &dbs {
+                let a = reused.sample(db, 6).unwrap();
+                let b = engine.prepare(&q).unwrap().sample(db, 6).unwrap();
+                prop_assert_eq!(a, b);
+            }
         }
     }
 }
