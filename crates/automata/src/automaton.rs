@@ -1,7 +1,6 @@
 //! Nondeterministic tree automata (Definition 50).
 
 use crate::tree::{LabeledTree, TreeShape};
-use std::collections::{BTreeSet, HashMap};
 
 /// The right-hand side of a transition `(q, σ) → …`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -14,48 +13,36 @@ pub enum TransitionTarget {
     Binary(usize, usize),
 }
 
+impl TransitionTarget {
+    /// The states required at the children, in child order.
+    pub(crate) fn child_states(self) -> impl Iterator<Item = usize> {
+        let (states, arity) = match self {
+            TransitionTarget::Leaf => ([0, 0], 0),
+            TransitionTarget::Unary(q1) => ([q1, 0], 1),
+            TransitionTarget::Binary(q1, q2) => ([q1, q2], 2),
+        };
+        states.into_iter().take(arity)
+    }
+
+    /// Can the transition fire at a node with these children? It needs one
+    /// child per child state, and `holds(child, q)` for each pair.
+    pub(crate) fn fires<C>(self, children: &[C], mut holds: impl FnMut(&C, usize) -> bool) -> bool {
+        self.child_states().count() == children.len()
+            && self.child_states().zip(children).all(|(q, c)| holds(c, q))
+    }
+}
+
 /// A nondeterministic tree automaton `A = (S, Σ, Δ, s₀)` over binary trees
 /// (Definition 50). States and labels are dense indices.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeAutomaton {
     num_states: usize,
     num_labels: usize,
     initial: usize,
     transitions: Vec<(usize, usize, TransitionTarget)>,
-    /// Lazily built lookup tables. A `OnceLock` (not a `RefCell`) so a
-    /// fully built automaton is `Sync`: the approximate counter shares it
-    /// read-only across the runtime's worker threads.
-    index: std::sync::OnceLock<TransitionIndex>,
-}
-
-impl Clone for TreeAutomaton {
-    fn clone(&self) -> Self {
-        TreeAutomaton {
-            num_states: self.num_states,
-            num_labels: self.num_labels,
-            initial: self.initial,
-            transitions: self.transitions.clone(),
-            index: std::sync::OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for TreeAutomaton {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_states == other.num_states
-            && self.num_labels == other.num_labels
-            && self.initial == other.initial
-            && self.transitions == other.transitions
-    }
-}
-impl Eq for TreeAutomaton {}
-
-/// Lazily built lookup tables over the transition list.
-#[derive(Debug, Clone, Default)]
-struct TransitionIndex {
-    by_state_label: HashMap<(usize, usize), Vec<TransitionTarget>>,
-    by_label: HashMap<usize, Vec<(usize, TransitionTarget)>>,
-    by_state: HashMap<usize, Vec<(usize, TransitionTarget)>>,
+    /// `from[q]`: the `(label, target)` transitions out of `q`, in insertion
+    /// order.
+    from: Vec<Vec<(usize, TransitionTarget)>>,
 }
 
 impl TreeAutomaton {
@@ -67,7 +54,7 @@ impl TreeAutomaton {
             num_labels,
             initial,
             transitions: Vec::new(),
-            index: std::sync::OnceLock::new(),
+            from: vec![Vec::new(); num_states],
         }
     }
 
@@ -89,116 +76,50 @@ impl TreeAutomaton {
     /// Add a transition `(state, label) → target`.
     pub fn add_transition(&mut self, state: usize, label: usize, target: TransitionTarget) {
         assert!(state < self.num_states && label < self.num_labels);
-        match target {
-            TransitionTarget::Leaf => {}
-            TransitionTarget::Unary(q) => assert!(q < self.num_states),
-            TransitionTarget::Binary(q1, q2) => {
-                assert!(q1 < self.num_states && q2 < self.num_states)
-            }
-        }
-        self.index = std::sync::OnceLock::new();
+        assert!(target.child_states().all(|q| q < self.num_states));
         self.transitions.push((state, label, target));
+        self.from[state].push((label, target));
     }
 
-    /// All transitions.
+    /// All transitions, in insertion order.
     pub fn transitions(&self) -> &[(usize, usize, TransitionTarget)] {
         &self.transitions
     }
 
-    /// The targets available from `(state, label)`.
-    pub fn targets(&self, state: usize, label: usize) -> Vec<TransitionTarget> {
-        self.ensure_index()
-            .by_state_label
-            .get(&(state, label))
-            .cloned()
-            .unwrap_or_default()
+    /// All `(label, target)` transitions out of `state`, in insertion order.
+    pub fn transitions_from(&self, state: usize) -> &[(usize, TransitionTarget)] {
+        &self.from[state]
     }
 
-    /// All `(state, target)` transitions reading `label`.
-    pub fn transitions_with_label(&self, label: usize) -> Vec<(usize, TransitionTarget)> {
-        self.ensure_index()
-            .by_label
-            .get(&label)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// All `(label, target)` transitions out of `state`.
-    pub fn transitions_from(&self, state: usize) -> Vec<(usize, TransitionTarget)> {
-        self.ensure_index()
-            .by_state
-            .get(&state)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    fn ensure_index(&self) -> &TransitionIndex {
-        self.index.get_or_init(|| {
-            let mut built = TransitionIndex::default();
-            for &(s, l, t) in &self.transitions {
-                built.by_state_label.entry((s, l)).or_default().push(t);
-                built.by_label.entry(l).or_default().push((s, t));
-                built.by_state.entry(s).or_default().push((l, t));
-            }
-            built
-        })
-    }
-
-    /// The set of states `q` such that the subtree of `tree` rooted at `node`
-    /// admits a run assigning `q` to `node` (bottom-up reachable states).
-    pub fn reachable_states(&self, tree: &LabeledTree, node: usize) -> BTreeSet<usize> {
-        let mut memo: HashMap<usize, BTreeSet<usize>> = HashMap::new();
-        self.reachable_rec(tree, node, &mut memo)
-    }
-
-    fn reachable_rec(
-        &self,
-        tree: &LabeledTree,
-        node: usize,
-        memo: &mut HashMap<usize, BTreeSet<usize>>,
-    ) -> BTreeSet<usize> {
-        if let Some(s) = memo.get(&node) {
-            return s.clone();
-        }
-        let label = tree.labels[node];
-        let children = tree.shape.children(node);
-        let child_sets: Vec<BTreeSet<usize>> = children
+    /// The states `q` such that the subtree of `shape` rooted at `node`,
+    /// labelled by `labels`, admits a run assigning `q` to `node`, as a
+    /// membership vector indexed by state. Computed bottom-up: a node's
+    /// states are the sources of the transitions that read its label and
+    /// fire over its children's states.
+    pub fn reachable_states(&self, shape: &TreeShape, labels: &[usize], node: usize) -> Vec<bool> {
+        let children: Vec<Vec<bool>> = shape
+            .children(node)
             .iter()
-            .map(|&c| self.reachable_rec(tree, c, memo))
+            .map(|&c| self.reachable_states(shape, labels, c))
             .collect();
-        let mut out = BTreeSet::new();
-        for (q, target) in self.transitions_with_label(label) {
-            if out.contains(&q) {
-                continue;
-            }
-            let ok = match (target, children.len()) {
-                (TransitionTarget::Leaf, 0) => true,
-                (TransitionTarget::Unary(q1), 1) => child_sets[0].contains(&q1),
-                (TransitionTarget::Binary(q1, q2), 2) => {
-                    child_sets[0].contains(&q1) && child_sets[1].contains(&q2)
-                }
-                _ => false,
-            };
-            if ok {
-                out.insert(q);
-            }
+        let mut states = vec![false; self.num_states];
+        for &(q, label, target) in &self.transitions {
+            states[q] |= label == labels[node] && target.fires(&children, |set, q1| set[q1]);
         }
-        memo.insert(node, out.clone());
-        out
+        states
     }
 
     /// Does the automaton accept the labelled tree (some run assigns `s₀` to
     /// the root)?
     pub fn accepts(&self, tree: &LabeledTree) -> bool {
-        self.reachable_states(tree, tree.shape.root())
-            .contains(&self.initial)
+        self.subtree_accepts_from(tree, tree.shape.root(), self.initial)
     }
 
     /// Does the subtree of `tree` rooted at `node` admit a run starting from
     /// `state`? (Membership test `ψ|_subtree ∈ L(node, state)` used by the
     /// Karp–Luby union estimation of the approximate counter.)
     pub fn subtree_accepts_from(&self, tree: &LabeledTree, node: usize, state: usize) -> bool {
-        self.reachable_states(tree, node).contains(&state)
+        self.reachable_states(&tree.shape, &tree.labels, node)[state]
     }
 
     /// A tiny deterministic example automaton used in tests and docs: accepts
@@ -220,9 +141,8 @@ pub fn accepted_labelings_bruteforce(a: &TreeAutomaton, shape: &TreeShape) -> Ve
     let mut out = Vec::new();
     let mut labels = vec![0usize; n];
     loop {
-        let t = LabeledTree::new(shape.clone(), labels.clone());
-        if a.accepts(&t) {
-            out.push(t);
+        if a.reachable_states(shape, &labels, shape.root())[a.initial()] {
+            out.push(LabeledTree::new(shape.clone(), labels.clone()));
         }
         // odometer
         let mut i = 0;
@@ -295,20 +215,32 @@ mod tests {
         let (a, _) = TreeAutomaton::all_zero_labels();
         let shape = TreeShape::new(vec![vec![1], vec![]], 0);
         let good = LabeledTree::new(shape.clone(), vec![0, 0]);
-        let bad = LabeledTree::new(shape, vec![0, 1]);
+        let bad = LabeledTree::new(shape.clone(), vec![0, 1]);
         assert!(a.subtree_accepts_from(&good, 1, 0));
         assert!(!a.subtree_accepts_from(&bad, 1, 0));
-        assert_eq!(a.reachable_states(&bad, 0).len(), 0);
+        assert_eq!(a.reachable_states(&shape, &bad.labels, 0), vec![false]);
     }
 
     #[test]
-    fn targets_lookup() {
-        let (a, _) = TreeAutomaton::all_zero_labels();
-        assert_eq!(a.targets(0, 0).len(), 3);
-        assert_eq!(a.targets(0, 1).len(), 0);
-        assert_eq!(a.num_states(), 1);
-        assert_eq!(a.num_labels(), 2);
+    fn transitions_from_keeps_insertion_order() {
+        let mut a = TreeAutomaton::new(2, 3, 0);
+        a.add_transition(0, 2, TransitionTarget::Unary(1));
+        a.add_transition(1, 0, TransitionTarget::Leaf);
+        a.add_transition(0, 1, TransitionTarget::Leaf);
+        a.add_transition(0, 2, TransitionTarget::Binary(1, 1));
+        assert_eq!(
+            a.transitions_from(0),
+            &[
+                (2, TransitionTarget::Unary(1)),
+                (1, TransitionTarget::Leaf),
+                (2, TransitionTarget::Binary(1, 1)),
+            ]
+        );
+        assert_eq!(a.transitions_from(1), &[(0, TransitionTarget::Leaf)]);
+        assert_eq!(a.num_states(), 2);
+        assert_eq!(a.num_labels(), 3);
         assert_eq!(a.initial(), 0);
-        assert_eq!(a.transitions().len(), 3);
+        assert_eq!(a.transitions().len(), 4);
+        assert_eq!(a.clone(), a);
     }
 }

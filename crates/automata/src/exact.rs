@@ -2,8 +2,8 @@
 //! counter via a dynamic program over reachable state sets.
 
 use crate::automaton::TreeAutomaton;
-use crate::tree::{LabeledTree, TreeShape};
-use std::collections::{BTreeSet, HashMap};
+use crate::tree::TreeShape;
+use std::collections::BTreeMap;
 
 /// `|L_N(A)|` by brute force: enumerate every tree shape with `N` nodes and
 /// every labelling, and check acceptance. Exponential; intended only for tiny
@@ -22,7 +22,7 @@ fn count_labelings_bruteforce(a: &TreeAutomaton, shape: &TreeShape) -> u128 {
     let mut labels = vec![0usize; n];
     let mut count = 0u128;
     loop {
-        if a.accepts(&LabeledTree::new(shape.clone(), labels.clone())) {
+        if a.reachable_states(shape, &labels, shape.root())[a.initial()] {
             count += 1;
         }
         let mut i = 0;
@@ -42,84 +42,59 @@ fn count_labelings_bruteforce(a: &TreeAutomaton, shape: &TreeShape) -> u128 {
 
 /// Count the labellings of a **fixed** shape that the automaton accepts,
 /// exactly, by a bottom-up dynamic program whose per-node table maps each
-/// *reachable state set* to the number of subtree labellings realising it.
+/// nonempty *reachable state set* to the number of subtree labellings
+/// realising it.
+///
+/// At each node the children's tables are folded into combinations of
+/// reachable sets (one empty combination at a leaf); per combination one
+/// scan of the transitions collects the firing source states, grouped by
+/// label. Labellings with an empty reachable set are dropped: nothing fires
+/// over them, so they never reach the root's initial state.
 ///
 /// The table size is bounded by the number of distinct reachable state sets,
 /// which is small for the automata produced by the Lemma 52 reduction on
-/// moderate instances but can be exponential in general — this function is a
-/// ground-truth tool, not the FPRAS (see
-/// [`crate::approx_count_fixed_shape_seeded`]).
+/// moderate instances but can be exponential in general. The FPRAS runs this
+/// counter while the automaton has at most `fpras_exact_state_budget` states
+/// and [`crate::approx_count_fixed_shape_seeded`] above that.
 pub fn count_labelings_fixed_shape(a: &TreeAutomaton, shape: &TreeShape) -> u128 {
-    let order = shape.postorder();
-    // tables[t]: reachable state set (sorted) → number of labellings of the
-    // subtree rooted at t inducing exactly that set.
-    let mut tables: Vec<Option<HashMap<Vec<usize>, u128>>> = vec![None; shape.num_nodes()];
-    for &t in &order {
-        let children = shape.children(t);
-        let mut table: HashMap<Vec<usize>, u128> = HashMap::new();
-        match children.len() {
-            0 => {
-                for label in 0..a.num_labels() {
-                    let set: Vec<usize> = (0..a.num_states())
-                        .filter(|&q| {
-                            a.targets(q, label)
-                                .iter()
-                                .any(|t| matches!(t, crate::TransitionTarget::Leaf))
-                        })
-                        .collect();
-                    *table.entry(set).or_insert(0) += 1;
+    // tables[t]: nonempty reachable state set (sorted) → number of
+    // labellings of the subtree rooted at t inducing exactly that set.
+    let mut tables: Vec<BTreeMap<Vec<usize>, u128>> = vec![BTreeMap::new(); shape.num_nodes()];
+    for t in shape.postorder() {
+        let child_tables: Vec<BTreeMap<Vec<usize>, u128>> = shape
+            .children(t)
+            .iter()
+            .map(|&c| std::mem::take(&mut tables[c]))
+            .collect();
+        let mut combos: Vec<(Vec<&[usize]>, u128)> = vec![(Vec::new(), 1)];
+        for child in &child_tables {
+            combos = combos
+                .iter()
+                .flat_map(|(sets, count)| {
+                    child.iter().map(move |(set, &n)| {
+                        let mut sets = sets.clone();
+                        sets.push(set);
+                        (sets, count * n)
+                    })
+                })
+                .collect();
+        }
+        let table = &mut tables[t];
+        for (sets, count) in combos {
+            let mut by_label: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for &(q, label, target) in a.transitions() {
+                if target.fires(&sets, |set, q1| set.binary_search(&q1).is_ok()) {
+                    by_label.entry(label).or_default().push(q);
                 }
             }
-            1 => {
-                let child_table = tables[children[0]].as_ref().expect("postorder");
-                // cqc-audit: allow(hash-iter) — every visit only does a commutative u128 `+=` into `table`; the final table is order-independent
-                for (child_set, &count) in child_table {
-                    let child: BTreeSet<usize> = child_set.iter().copied().collect();
-                    for label in 0..a.num_labels() {
-                        let set: Vec<usize> = (0..a.num_states())
-                            .filter(|&q| {
-                                a.targets(q, label).iter().any(|t| match t {
-                                    crate::TransitionTarget::Unary(q1) => child.contains(q1),
-                                    _ => false,
-                                })
-                            })
-                            .collect();
-                        *table.entry(set).or_insert(0) += count;
-                    }
-                }
-            }
-            _ => {
-                let left_table = tables[children[0]].as_ref().expect("postorder").clone();
-                let right_table = tables[children[1]].as_ref().expect("postorder").clone();
-                // cqc-audit: allow(hash-iter) — every visit only does a commutative u128 `+=` into `table`; the final table is order-independent
-                for (lset, &lc) in &left_table {
-                    let left: BTreeSet<usize> = lset.iter().copied().collect();
-                    // cqc-audit: allow(hash-iter) — every visit only does a commutative u128 `+=` into `table`; the final table is order-independent
-                    for (rset, &rc) in &right_table {
-                        let right: BTreeSet<usize> = rset.iter().copied().collect();
-                        for label in 0..a.num_labels() {
-                            let set: Vec<usize> = (0..a.num_states())
-                                .filter(|&q| {
-                                    a.targets(q, label).iter().any(|t| match t {
-                                        crate::TransitionTarget::Binary(q1, q2) => {
-                                            left.contains(q1) && right.contains(q2)
-                                        }
-                                        _ => false,
-                                    })
-                                })
-                                .collect();
-                            *table.entry(set).or_insert(0) += lc * rc;
-                        }
-                    }
-                }
+            for mut set in by_label.into_values() {
+                set.sort_unstable();
+                set.dedup();
+                *table.entry(set).or_insert(0) += count;
             }
         }
-        tables[t] = Some(table);
     }
     tables[shape.root()]
-        .as_ref()
-        .expect("root processed")
-        // cqc-audit: allow(hash-iter) — u128 sum of the surviving counts; addition is commutative, so hash order cannot change the total
         .iter()
         .filter(|(set, _)| set.binary_search(&a.initial()).is_ok())
         .map(|(_, &c)| c)

@@ -10,13 +10,13 @@
 //! * Exact `N`-slice counting: brute force over all shapes and labelings for
 //!   tiny `N` (the specification of the #TA problem), and an exact
 //!   fixed-shape counter via a dynamic program over reachable state sets
-//!   (used as ground truth for the Theorem 16 pipeline, whose Lemma 52
-//!   automata force the tree shape).
+//!   (the Theorem 16 FPRAS runs it on small Lemma 52 automata, which force
+//!   the tree shape).
 //! * [`approx_count_fixed_shape_seeded`] — a sampling-based approximate
 //!   counter in the style of Arenas–Croquevielle–Jayaram–Riveros (Lemma 51):
 //!   bottom-up per-(node, state) estimates with Karp–Luby union estimation
-//!   and self-reducible sampling. See DESIGN.md (substitutions) for how this
-//!   relates to the original ACJR algorithm.
+//!   and self-reducible sampling. See `docs/ARCHITECTURE.md` (Substitutions)
+//!   for how this relates to the original ACJR algorithm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

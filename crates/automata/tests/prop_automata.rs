@@ -178,7 +178,7 @@ proptest! {
             })
             .collect();
         let tree = LabeledTree::new(shape.clone(), labels);
-        let root_states = a.reachable_states(&tree, tree.shape.root());
-        prop_assert_eq!(a.accepts(&tree), root_states.contains(&a.initial()));
+        let root_states = a.reachable_states(&shape, &tree.labels, shape.root());
+        prop_assert_eq!(a.accepts(&tree), root_states[a.initial()]);
     }
 }

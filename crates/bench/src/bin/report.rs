@@ -1,4 +1,4 @@
-//! Regenerate the experiment tables of EXPERIMENTS.md.
+//! Regenerate the experiment tables.
 //!
 //! Usage:
 //! ```text
@@ -7,9 +7,8 @@
 //! ```
 //! Experiments: `thm5`, `obs9`, `obs10`, `cor6`, `thm13`, `thm16`,
 //! `footnote4`, `sampling`, `unions`, `widths`, `ablation-colour`,
-//! `ablation-naive`, `parallel`. `--large` uses the full problem sizes recorded in
-//! EXPERIMENTS.md; the default sizes finish in a couple of minutes on a
-//! laptop.
+//! `ablation-naive`, `parallel`. `--large` uses the full problem sizes; the
+//! default sizes finish in a couple of minutes on a laptop.
 
 use cqc_bench::{header, relative_error, row, timed};
 use cqc_core::lihom::PatternGraph;

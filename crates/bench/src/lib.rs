@@ -1,8 +1,7 @@
 //! # cqc-bench — benchmark harness
 //!
 //! Shared utilities for the Criterion benches (`benches/`) and the report
-//! binary (`src/bin/report.rs`) that regenerates the experiment series listed
-//! in EXPERIMENTS.md.
+//! binary (`src/bin/report.rs`) that regenerates the experiment series.
 
 #![forbid(unsafe_code)]
 

@@ -113,7 +113,9 @@ COMMON OPTIONS:
     --seed S              RNG seed (default 0xC0FFEE)
     --threads N           worker threads; 0 = auto (COUNTING_THREADS env, else
                           available parallelism). Estimates are bit-identical
-                          for any thread count (deterministic seed-splitting)
+                          for any thread count (deterministic seed-splitting).
+                          With --listen it also sizes the dispatch workers
+                          (clamped to 2..=8)
     --method M            auto | fpras | fptras | exact   (count only, default auto)
     --repeat N            evaluate each database N times reusing the prepared
                           plan, reporting amortised timings (count only, default 1)
@@ -145,9 +147,6 @@ SERVE OPTIONS:
                           queued or executing (default 256); requests over
                           the bound are shed per-request with the same
                           overload bytes while the connection stays usable
-    --dispatch-workers N  with --listen: dispatch worker threads executing
-                          engine endpoints (0 = auto, sized from the
-                          machine)
     --addr-file PATH      with --listen: write the bound address to PATH
                           (useful with `--listen 127.0.0.1:0`)
     --request-log PATH    with --listen: append one wide NDJSON record per

@@ -136,11 +136,6 @@ fn run_listen(args: &Args, listen: &str, server_config: ServerConfig) -> Result<
         }
         net_config.dispatch_queue_limit = n;
     }
-    // `--dispatch-workers 0` is allowed: it means "auto" (sized from the
-    // machine), the same as omitting the flag.
-    if let Some(n) = parse_flag::<usize>(args, "dispatch-workers")? {
-        net_config.dispatch_workers = n;
-    }
     // Post-hoc observability: the wide-event request log (`--request-log`),
     // the slow-request dump threshold (`--slow-ms`) and the flight-dump
     // directory (`--flight-dir`). The flight recorder and wide-event

@@ -3,7 +3,7 @@
 //! These implement the two "obvious" algorithms the paper's machinery is
 //! measured against: the `‖D‖^{O(‖ϕ‖)}` brute force of Section 1.1 and the
 //! naive sampling estimator whose failure on sparse answer sets motivates the
-//! oracle-based framework (ablation A2 in EXPERIMENTS.md).
+//! oracle-based framework (`report ablation-naive` in `cqc-bench`).
 
 use cqc_data::{Structure, Val};
 use cqc_query::{is_answer, Query};

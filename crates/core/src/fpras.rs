@@ -425,6 +425,47 @@ mod tests {
         );
     }
 
+    /// Forced-ACJR estimates pinned bit for bit on one fixed graph. The
+    /// counter's component order follows the automaton's transition order,
+    /// which in turn decides the RNG draws, so these bits catch any
+    /// reordering of the transition index or of the Lemma 52 construction.
+    #[test]
+    fn forced_acjr_estimates_are_pinned_bit_for_bit() {
+        let db = random_graph(12, 7, 40);
+        let cases = [
+            ("ans(x, y) :- E(x, z), E(z, y)", 0x4055_481b_4e81_b4e8_u64), // ≈ 85.127, truth 83
+            (
+                "ans(x, y) :- E(x, y), E(y, z), E(x, z)",
+                0x4038_bbbb_bbbb_bbbb,
+            ), // ≈ 24.733, truth 26
+        ];
+        for (text, bits) in cases {
+            let q = parse_query(text).unwrap();
+            let r = EngineBuilder::from_config(config(0.2, 0.05, 9))
+                .backend(Backend::Fpras)
+                .exact_state_budget(0)
+                .build()
+                .unwrap()
+                .prepare(&q)
+                .unwrap()
+                .count(&db)
+                .unwrap();
+            assert!(!r.exact);
+            let truth = count_answers_via_solutions(&q, &db) as f64;
+            assert!(
+                (r.estimate - truth).abs() <= 0.2 * truth,
+                "{text}: {}",
+                r.estimate
+            );
+            assert_eq!(
+                r.estimate.to_bits(),
+                bits,
+                "{text}: estimate {}",
+                r.estimate
+            );
+        }
+    }
+
     #[test]
     fn triangle_query_with_existential_apex() {
         let q = parse_query("ans(x, y) :- E(x, y), E(y, z), E(x, z)").unwrap();

@@ -231,7 +231,7 @@ impl<'a, H: HomDecider + Sync> EdgeFreeOracle for AnswerOracle<'a, H> {
         let call_seed = split_seed(self.seed, self.oracle_calls);
         let _span = cqc_obs::trace::Span::enter("oracle_call", call_seed);
         let partite = self.to_partite_sets(parts);
-        if partite.sets.iter().any(|s| s.is_empty()) && !partite.sets.is_empty() {
+        if partite.sets.iter().any(|s| s.is_empty()) {
             return true;
         }
         let num_diseq = self.query.disequalities().len();

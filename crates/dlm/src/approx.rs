@@ -4,8 +4,8 @@
 //! it the answer hypergraph `H(ϕ, D)` through a colour-coding oracle, and the
 //! result is an `(ε, δ)`-approximation of `|Ans(ϕ, D)|`.
 //!
-//! Algorithm (see DESIGN.md, substitutions, for the relation to the original
-//! Dell–Lapinskas–Meeks procedure):
+//! Algorithm (see `docs/ARCHITECTURE.md`, Substitutions, for the relation to
+//! the original Dell–Lapinskas–Meeks procedure):
 //!
 //! 1. Try to count the edges **exactly** by recursive halving with an oracle
 //!    budget proportional to `ε⁻²`; if the region is sparse this terminates

@@ -9,7 +9,8 @@
 //! of `|E(H)|`.
 //!
 //! The concrete algorithm differs from the one in the DLM paper (see
-//! DESIGN.md, substitutions) but lives in exactly the same access model:
+//! `docs/ARCHITECTURE.md`, Substitutions) but lives in exactly the same
+//! access model:
 //!
 //! * [`EdgeFreeOracle`] — the oracle interface (class-aligned ℓ-partite
 //!   queries), plus [`PermutationOracle`] which lifts a class-aligned oracle

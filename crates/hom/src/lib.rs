@@ -14,7 +14,7 @@
 //! * [`HybridDecider`] — picks the decomposition engine when a low-width
 //!   decomposition of `A` is found and falls back to backtracking otherwise
 //!   (the practical stand-in for Marx's adaptive-width algorithm, Theorem 36;
-//!   see DESIGN.md, substitutions).
+//!   see `docs/ARCHITECTURE.md`, Substitutions).
 //! * [`count_homomorphisms`] — exact homomorphism counting by DP over a tree
 //!   decomposition (Dalmau–Jonsson), used as a baseline.
 //! * [`bag_solutions()`] / [`bag_partial_solutions`] — per-bag (partial)

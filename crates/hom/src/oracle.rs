@@ -6,7 +6,7 @@ use cqc_data::Structure;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Statistics collected by a [`HomDecider`] across a run (oracle call counts
-/// are reported in the experiments of EXPERIMENTS.md).
+/// are reported by the experiment `report` binary of `cqc-bench`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HomStats {
     /// Number of `Hom` decisions answered.
@@ -49,8 +49,8 @@ pub enum EngineChoice {
 /// This is the practical stand-in for the two oracles used by the paper:
 /// Theorem 31 (Dalmau–Kolaitis–Vardi, bounded treewidth) for the
 /// bounded-arity FPTRAS of Theorem 5, and Theorem 36 (Marx, bounded adaptive
-/// width) for the unbounded-arity FPTRAS of Theorem 13 — see DESIGN.md for
-/// the substitution argument.
+/// width) for the unbounded-arity FPTRAS of Theorem 13 — see
+/// `docs/ARCHITECTURE.md` (Substitutions) for the substitution argument.
 #[derive(Debug)]
 pub struct HybridDecider {
     /// The engine selection strategy.
@@ -169,11 +169,6 @@ mod tests {
             HybridDecider::decomposition_only(),
             HybridDecider::backtracking_only(),
         ];
-        let cases = [
-            (cycle_graph(3), cycle_graph(6), false), // C3 → C6 directed: no (6 not divisible by 3? actually 6 = 2*3 so yes)
-        ];
-        // Build a principled set of cases instead of the ad-hoc one above.
-        let _ = cases;
         for (pk, tk) in [(3usize, 6usize), (4, 4), (5, 4), (6, 3), (4, 8)] {
             let a = cycle_graph(pk);
             let b = cycle_graph(tk);

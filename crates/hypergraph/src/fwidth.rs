@@ -75,7 +75,7 @@ pub fn width_of_decomposition(
 /// is always a correct decomposition of `H`; optimality is guaranteed only in
 /// the exhaustive regime (and even there only over decompositions induced by
 /// elimination orders, which is exact for treewidth and an upper bound for
-/// other measures — see DESIGN.md, substitutions).
+/// other measures — see `docs/ARCHITECTURE.md`, Substitutions).
 pub fn minimise_f_width<F>(
     h: &Hypergraph,
     mut f: F,

@@ -9,7 +9,8 @@
 //! and is the quantity relevant for all algorithmic uses in this repository
 //! (the special condition (iv) of Definition 37 only matters for
 //! polynomial-time *computability* of the decomposition, which we sidestep by
-//! searching decompositions directly; see DESIGN.md).
+//! searching decompositions directly; see `docs/ARCHITECTURE.md`,
+//! Substitutions).
 
 use crate::decomposition::TreeDecomposition;
 use crate::hypergraph::Hypergraph;

@@ -152,9 +152,6 @@ pub struct NetConfig {
     /// (counted by `cqc_requests_shed_total`) while the connection stays
     /// usable. `0` means the default.
     pub dispatch_queue_limit: usize,
-    /// Dispatch worker threads executing engine requests off the event
-    /// thread. `0` means auto (derived from available parallelism).
-    pub dispatch_workers: usize,
     /// Append every wide event (one NDJSON record per request) to this
     /// file — `cqc serve --request-log FILE`. The bounded in-memory tail
     /// behind `GET /debug/requests` fills regardless; the file is the
@@ -179,7 +176,6 @@ impl Default for NetConfig {
             max_connections: DEFAULT_MAX_CONNECTIONS,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
             dispatch_queue_limit: DEFAULT_DISPATCH_QUEUE_LIMIT,
-            dispatch_workers: 0,
             request_log: None,
             slow_ms: None,
             flight_dir: None,
@@ -408,6 +404,11 @@ impl RunningServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let (wake_tx, wake_rx) = wake_pair()?;
+        // Dispatch workers follow the one width knob (`--threads` /
+        // `COUNTING_THREADS`): at least two, so one long `/stream` batch
+        // cannot head-of-line block every other request, and at most eight,
+        // so dispatch threads do not crowd the runtime pool they fan into.
+        let workers = cqc_runtime::resolve_threads(config.serve.threads).clamp(2, 8);
         // Register every metric series before the first connection is
         // accepted: a scrape against an idle server must see the full,
         // zero-valued document, not whatever happened to be touched.
@@ -435,11 +436,6 @@ impl RunningServer {
             wake: wake_tx,
         });
         let worker_wake = Arc::new(shared.wake.try_clone()?);
-        let workers = if config.dispatch_workers == 0 {
-            default_dispatch_workers()
-        } else {
-            config.dispatch_workers
-        };
         let queue_limit = if config.dispatch_queue_limit == 0 {
             DEFAULT_DISPATCH_QUEUE_LIMIT
         } else {
@@ -540,17 +536,6 @@ impl Drop for RunningServer {
             let _ = handle.join();
         }
     }
-}
-
-/// Dispatch workers when [`NetConfig::dispatch_workers`] is `0`: at least
-/// two (so one long `/stream` batch cannot head-of-line block every other
-/// request), bounded so dispatch threads do not crowd the runtime pool
-/// they fan into.
-fn default_dispatch_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, 8)
 }
 
 /// A loopback socket pair serving as the event thread's wake channel: the

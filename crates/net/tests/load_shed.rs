@@ -116,7 +116,6 @@ fn queue_full_requests_shed_with_identical_bytes_on_both_protocols_then_recover(
         "127.0.0.1:0",
         NetConfig {
             dispatch_queue_limit: 1,
-            dispatch_workers: 2,
             ..NetConfig::default()
         },
     )

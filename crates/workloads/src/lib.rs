@@ -1,7 +1,8 @@
 //! # cqc-workloads — workload generators for the experiments
 //!
 //! Random graphs and databases, plus the query families used throughout the
-//! paper's discussion and in EXPERIMENTS.md: path/star/clique queries, the
+//! paper's discussion and in the experiment `report` binary of `cqc-bench`:
+//! path/star/clique queries, the
 //! footnote-4 quantified-star query, the Hamiltonian-path DCQ of
 //! Observation 10, locally-injective-homomorphism encodings (Corollary 6) and
 //! higher-arity families for the unbounded-arity results (Theorems 13/16).
