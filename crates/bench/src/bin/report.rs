@@ -7,8 +7,11 @@
 //! ```
 //! Experiments: `thm5`, `obs9`, `obs10`, `cor6`, `thm13`, `thm16`,
 //! `footnote4`, `sampling`, `unions`, `widths`, `ablation-colour`,
-//! `ablation-naive`, `parallel`. `--large` uses the full problem sizes; the
-//! default sizes finish in a couple of minutes on a laptop.
+//! `ablation-naive`, `parallel`, `hom-engines`, `ablation-dlm`. `--large`
+//! uses the full problem sizes. At the default sizes most experiments
+//! take seconds (`widths` 0.2 s, `thm16` 2.5 s on a 2-vCPU VM), but `cor6`
+//! and `ablation-naive`, which both count with the FPTRAS, each ran past
+//! 300 s there without finishing (ROADMAP item 3), so `all` is slow.
 
 use cqc_bench::{header, relative_error, row, timed};
 use cqc_core::lihom::PatternGraph;
@@ -17,7 +20,8 @@ use cqc_core::{
     hamiltonian_path_query, naive_monte_carlo, undirected_graph_database, ApproxConfig, Backend,
     Engine, EngineBuilder, EstimateReport,
 };
-use cqc_data::{Structure, Val};
+use cqc_data::{Structure, StructureBuilder, Val};
+use cqc_hom::{BacktrackingDecider, DecompositionDecider};
 use cqc_hypergraph::adaptive::adaptive_width_bounds;
 use cqc_hypergraph::fwidth::{minimise_width, WidthMeasure};
 use cqc_hypergraph::treewidth::treewidth_exact;
@@ -79,6 +83,24 @@ fn main() {
     if run("parallel") {
         experiment_parallel(large);
     }
+    if run("hom-engines") {
+        experiment_hom_engines();
+    }
+    if run("ablation-dlm") {
+        experiment_ablation_dlm();
+    }
+}
+
+/// Run `f` `reps` times; return its last result and the mean wall time per
+/// run in milliseconds.
+fn mean_ms<T>(reps: u32, f: impl Fn() -> T) -> (T, f64) {
+    let (last, secs) = timed(|| {
+        for _ in 1..reps {
+            std::hint::black_box(f());
+        }
+        f()
+    });
+    (last, secs * 1e3 / f64::from(reps))
 }
 
 /// Prepare `query` under `config` with the given backend, then count it on
@@ -97,8 +119,7 @@ fn count_with(
         .unwrap()
 }
 
-/// Parallel scaling of the deterministic runtime (see
-/// `benches/parallel_scaling.rs` for the criterion variant): repetitions/sec
+/// Parallel scaling of the deterministic runtime: repetitions/sec
 /// on the Theorem 5 colour-coding workload and wall time on the Theorem 16
 /// Karp–Luby workload, at 1/2/4/8 threads. The estimates are asserted
 /// bit-identical across thread counts on every row.
@@ -600,4 +621,77 @@ fn experiment_ablation_naive() {
         format!("{naive:.1}"),
         format!("{:.1}", r.estimate),
     ]);
+}
+
+/// A3 — ablation: the two Hom deciders behind the FPTRAS oracle, on a
+/// 6-cycle pattern against sparse random digraphs of growing size.
+fn experiment_hom_engines() {
+    println!("\n== A3 (ablation): Hom engines, 6-cycle pattern ==");
+    header(&[
+        "n",
+        "edges",
+        "hom?",
+        "backtracking ms",
+        "decomposition DP ms",
+    ]);
+    let mut pb = StructureBuilder::new(6);
+    pb.relation("E", 2);
+    for i in 0..6u32 {
+        pb.fact("E", &[i, (i + 1) % 6]).unwrap();
+    }
+    let pattern = pb.build();
+    let (bt, dp) = (BacktrackingDecider::new(), DecompositionDecider::new());
+    for n in [20usize, 40, 80] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let g = erdos_renyi(n, 4.0 / n as f64, &mut rng);
+        let target = graph_database(&g, "E", false);
+        let (bt_hom, bt_ms) = mean_ms(10, || bt.decide(&pattern, &target));
+        let (dp_hom, dp_ms) = mean_ms(10, || dp.decide(&pattern, &target));
+        assert_eq!(bt_hom, dp_hom, "the deciders disagree at n = {n}");
+        row(&[
+            n.to_string(),
+            g.edges.len().to_string(),
+            bt_hom.to_string(),
+            format!("{bt_ms:.3}"),
+            format!("{dp_ms:.3}"),
+        ]);
+    }
+}
+
+/// A4 — ablation: the DLM FPTRAS vs naive Monte Carlo (20k samples) wall
+/// time on a sparse-answer instance, planning included as a one-off count
+/// pays it (`ablation-naive` has the accuracy side).
+fn experiment_ablation_dlm() {
+    println!("\n== A4 (ablation): DLM FPTRAS vs naive Monte Carlo, wall time ==");
+    header(&[
+        "n",
+        "exact",
+        "FPTRAS",
+        "FPTRAS ms",
+        "naive MC (20k samples)",
+        "naive MC ms",
+    ]);
+    let q = star_query(2, true).query;
+    for n in [40usize, 80] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        // sparse: expected out-degree 1.5, so few vertices have two
+        // distinct out-neighbours and the answers are a small fraction of U
+        let g = erdos_renyi(n, 1.5 / n as f64, &mut rng);
+        let db = graph_database(&g, "E", false);
+        let truth = exact_count_answers(&q, &db);
+        let cfg = ApproxConfig::new(0.3, 0.1).with_seed(n as u64);
+        let (fptras, fptras_ms) = mean_ms(3, || count_with(Backend::Fptras, &q, &db, &cfg));
+        let (naive, naive_ms) = mean_ms(3, || {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            naive_monte_carlo(&q, &db, 20_000, &mut rng)
+        });
+        row(&[
+            n.to_string(),
+            truth.to_string(),
+            format!("{:.1}", fptras.estimate),
+            format!("{fptras_ms:.1}"),
+            format!("{naive:.1}"),
+            format!("{naive_ms:.1}"),
+        ]);
+    }
 }

@@ -1,7 +1,8 @@
 //! # cqc-bench — benchmark harness
 //!
-//! Shared utilities for the Criterion benches (`benches/`) and the report
-//! binary (`src/bin/report.rs`) that regenerates the experiment series.
+//! Shared utilities for the report binary (`src/bin/report.rs`) that
+//! regenerates the experiment tables. `report` and the repo benchmark
+//! (`perfbench/`) are the workspace's only benchmark harnesses.
 
 #![forbid(unsafe_code)]
 

@@ -114,8 +114,8 @@ COMMON OPTIONS:
     --threads N           worker threads; 0 = auto (COUNTING_THREADS env, else
                           available parallelism). Estimates are bit-identical
                           for any thread count (deterministic seed-splitting).
-                          With --listen it also sizes the dispatch workers
-                          (clamped to 2..=8)
+                          With --listen it also sizes the pool that runs
+                          requests (at least 2 workers)
     --method M            auto | fpras | fptras | exact   (count only, default auto)
     --repeat N            evaluate each database N times reusing the prepared
                           plan, reporting amortised timings (count only, default 1)

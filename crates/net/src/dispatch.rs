@@ -1,29 +1,28 @@
-//! The bounded dispatch queue between the readiness loop and the engine.
+//! Admission control between the readiness loop and the engine.
 //!
-//! The event thread frames requests and pushes [`Job`]s here; a small pool
-//! of dispatch workers executes them against the shared [`cqc_serve`]
-//! server (which in turn fans work across the `cqc-runtime` pool) and
-//! pushes fully rendered response bytes back as [`Completion`]s, waking the
-//! event thread through its wake socket. The queue is the admission-control
-//! point: [`Dispatcher::try_enqueue`] refuses work beyond the configured
-//! bound, and the event loop turns that refusal into a load-shed response
-//! (HTTP 503 / NDJSON error line) instead of queueing without limit.
+//! The event thread frames requests and hands each [`Job`] to
+//! [`Dispatcher::try_enqueue`], which admits it against the configured
+//! bound and runs it as a detached job on the `cqc-runtime` pool — the
+//! process's only executor, whose workers also fan each request's `par_*`
+//! work. A finished job pushes its fully rendered response bytes back as
+//! a [`Completion`] and wakes the event thread through its wake socket.
+//! The admission counter is the load-shedding point: `try_enqueue` refuses
+//! work beyond the bound, and the event loop turns that refusal into a
+//! load-shed response (HTTP 503 / NDJSON error line) instead of queueing
+//! without limit.
 //!
-//! A worker wraps every job in `catch_unwind`: a panicking handler is
-//! counted (`cqc_connection_panics_total`) and answered with a 500-class
-//! response rather than silently killing the connection — the
+//! Every job runs under `catch_unwind`: a panicking handler is counted
+//! (`cqc_connection_panics_total`) and answered with a 500-class response
+//! rather than silently killing the connection — the
 //! thread-per-connection model swallowed those panics on `JoinHandle` reap.
 
 use crate::http::{finish_chunks, write_chunk, write_chunked_head, write_response_with};
 use crate::server::{error_body, Shared};
 use cqc_obs::wide::Outcome;
 use cqc_obs::{Stopwatch, WideEvent};
-use std::collections::VecDeque;
-use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifies a connection slot in the event loop, with a generation
 /// counter so a completion for a closed connection can never be delivered
@@ -36,15 +35,15 @@ pub(crate) struct Token {
     pub gen: u64,
 }
 
-/// One dispatched request, owned by the queue until a worker takes it.
+/// One dispatched request, owned by its pool job.
 pub(crate) struct Job {
     /// The connection awaiting the response.
     pub token: Token,
     /// Ordinal of this request on its connection (1-based), for the wide
     /// event.
     pub conn_req: u64,
-    /// Started at enqueue; its elapsed time at dequeue is the wide event's
-    /// queue wait.
+    /// Started at admission; its elapsed time when a pool worker starts
+    /// the job is the wide event's queue wait.
     pub queued: Stopwatch,
     /// What to execute.
     pub kind: JobKind,
@@ -88,75 +87,56 @@ pub(crate) struct Completion {
     pub close: bool,
 }
 
-struct QueueState {
-    jobs: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    stop: AtomicBool,
-    /// Jobs queued or executing — the admission-control count.
+/// What the event thread and the running jobs share.
+struct DispatchState {
+    /// Jobs admitted and not yet finished — the admission-control count.
     in_flight: AtomicU64,
     completions: Mutex<Vec<Completion>>,
 }
 
-/// Poison-safe lock: a worker panic is already counted and answered by
-/// `catch_unwind`, so the queue data a poisoned lock guards is still
+/// Poison-safe lock: a handler panic is already counted and answered by
+/// `catch_unwind`, so the list a poisoned lock guards is still
 /// consistent — take it.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// The bounded dispatch queue plus its worker threads.
+/// The admission counter and completions list of the event loop's
+/// dispatched requests.
 pub(crate) struct Dispatcher {
-    state: Arc<QueueState>,
+    shared: Arc<Shared>,
+    state: Arc<DispatchState>,
     /// Maximum `in_flight` before `try_enqueue` refuses.
     limit: u64,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Dispatcher {
-    /// Spawn `workers` dispatch workers draining the queue into `shared`'s
-    /// serve layer. `wake` is written one byte per completion so the event
-    /// loop's `poll` returns promptly.
-    pub fn start(
-        shared: Arc<Shared>,
-        workers: usize,
-        limit: usize,
-        wake: Arc<TcpStream>,
-    ) -> Dispatcher {
-        let state = Arc::new(QueueState {
-            jobs: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
-            completions: Mutex::new(Vec::new()),
-        });
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let state = Arc::clone(&state);
-                let shared = Arc::clone(&shared);
-                let wake = Arc::clone(&wake);
-                std::thread::Builder::new()
-                    .name(format!("cqc-net-worker-{i}"))
-                    .spawn(move || worker_loop(&state, &shared, &wake))
-            })
-            .filter_map(Result::ok)
-            .collect();
+    /// A dispatcher running jobs against `shared`'s serve layer, admitting
+    /// at most `limit` at a time. Each finished job writes one byte to
+    /// `shared`'s wake socket so the event loop's `poll` returns promptly.
+    pub fn new(shared: Arc<Shared>, limit: usize) -> Dispatcher {
         Dispatcher {
-            state,
+            shared,
+            state: Arc::new(DispatchState {
+                in_flight: AtomicU64::new(0),
+                completions: Mutex::new(Vec::new()),
+            }),
             limit: limit.max(1) as u64,
-            workers: handles,
         }
     }
 
-    /// Admit a job unless the queue is at its bound. Refusal leaves the
-    /// queue untouched — the caller sheds the request.
+    /// Admit a job unless `limit` jobs are in flight, and hand it to the
+    /// runtime pool. Refusal runs nothing — the caller sheds the request.
+    /// Only the event thread admits, so the check and the increment
+    /// cannot race another admission.
     pub fn try_enqueue(&self, job: Job) -> bool {
-        let mut jobs = lock(&self.state.jobs);
         if self.state.in_flight.load(Ordering::Relaxed) >= self.limit {
             return false;
         }
         self.state.in_flight.fetch_add(1, Ordering::Relaxed);
-        jobs.push_back(job);
-        self.state.available.notify_one();
+        let shared = Arc::clone(&self.shared);
+        let state = Arc::clone(&self.state);
+        cqc_runtime::pool::global().spawn(Box::new(move || run_job(&state, &shared, job)));
         true
     }
 
@@ -165,133 +145,101 @@ impl Dispatcher {
         std::mem::take(&mut *lock(&self.state.completions))
     }
 
-    /// Jobs queued or executing right now (the `cqc_dispatch_queue_depth`
-    /// gauge, sampled at scrape time).
+    /// Jobs admitted and not yet finished (the `cqc_dispatch_queue_depth`
+    /// gauge, sampled at scrape time). A job has recorded its metrics and
+    /// wide event before it leaves this count, so once it reads zero no
+    /// request is left to account for.
     pub fn depth(&self) -> u64 {
         self.state.in_flight.load(Ordering::Relaxed)
     }
-
-    /// Stop and join the workers. The event loop only calls this once the
-    /// queue has drained (`depth() == 0`), so no job is abandoned.
-    pub fn shutdown(&mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
-        {
-            let _jobs = lock(&self.state.jobs);
-            self.state.available.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
-impl Drop for Dispatcher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(state: &QueueState, shared: &Shared, wake: &TcpStream) {
-    loop {
-        let job = {
-            let mut jobs = lock(&state.jobs);
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break job;
+/// Execute one admitted job on a pool worker: render its response (a 500
+/// if the handler panics), release its admission slot, publish the
+/// completion and wake the event loop.
+fn run_job(state: &DispatchState, shared: &Shared, job: Job) {
+    let token = job.token;
+    // Captured before execution so a panicking handler can still be
+    // answered in the right protocol framing (and classified in its
+    // wide event).
+    let is_http = matches!(&job.kind, JobKind::Count { .. } | JobKind::Stream { .. });
+    let (protocol, endpoint): (&'static str, &'static str) = match &job.kind {
+        JobKind::Count { .. } => ("http", "count"),
+        JobKind::Stream { .. } => ("http", "stream"),
+        JobKind::Line { .. } => ("ndjson", "line"),
+    };
+    let wide_ctx = WideCtx {
+        token,
+        conn_req: job.conn_req,
+        queue_ns: if cqc_obs::wide::enabled() {
+            job.queued.elapsed().as_nanos().min(u64::MAX as u128) as u64
+        } else {
+            0
+        },
+    };
+    let exec = Stopwatch::start();
+    let (bytes, close) =
+        match catch_unwind(AssertUnwindSafe(|| execute(shared, job.kind, &wide_ctx))) {
+            Ok(rendered) => rendered,
+            Err(_) => {
+                shared.metrics.connection_panics.inc();
+                cqc_obs::trace::instant("net_panic", if is_http { "http" } else { "ndjson" });
+                let body = error_body("request handler panicked");
+                // The panicking request's wide event is recorded *before*
+                // the flight dump below, so the dump always contains it —
+                // the phase accumulator keeps whatever the handler noted
+                // before unwinding.
+                if cqc_obs::wide::enabled() {
+                    let handle_ns = exec.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                    emit_wide(
+                        shared,
+                        &wide_ctx,
+                        protocol,
+                        endpoint,
+                        Outcome::Panic,
+                        500,
+                        handle_ns,
+                        body.len(),
+                        None,
+                    );
                 }
-                if state.stop.load(Ordering::SeqCst) {
-                    return;
+                shared.flight_dumps.dump("panic", true);
+                let mut out = Vec::new();
+                if is_http {
+                    let _ = crate::http::write_response(
+                        &mut out,
+                        500,
+                        "application/json",
+                        body.as_bytes(),
+                        true,
+                    );
+                } else {
+                    out.extend_from_slice(body.as_bytes());
+                    out.push(b'\n');
                 }
-                jobs = state
-                    .available
-                    .wait(jobs)
-                    .unwrap_or_else(|poison| poison.into_inner());
+                (out, true)
             }
         };
-        let token = job.token;
-        // Captured before execution so a panicking handler can still be
-        // answered in the right protocol framing (and classified in its
-        // wide event).
-        let is_http = matches!(&job.kind, JobKind::Count { .. } | JobKind::Stream { .. });
-        let (protocol, endpoint): (&'static str, &'static str) = match &job.kind {
-            JobKind::Count { .. } => ("http", "count"),
-            JobKind::Stream { .. } => ("http", "stream"),
-            JobKind::Line { .. } => ("ndjson", "line"),
-        };
-        let wide_ctx = WideCtx {
-            token,
-            conn_req: job.conn_req,
-            queue_ns: if cqc_obs::wide::enabled() {
-                job.queued.elapsed().as_nanos().min(u64::MAX as u128) as u64
-            } else {
-                0
-            },
-        };
-        let exec = Stopwatch::start();
-        let (bytes, close) =
-            match catch_unwind(AssertUnwindSafe(|| execute(shared, job.kind, &wide_ctx))) {
-                Ok(rendered) => rendered,
-                Err(_) => {
-                    shared.metrics.connection_panics.inc();
-                    cqc_obs::trace::instant("net_panic", if is_http { "http" } else { "ndjson" });
-                    let body = error_body("request handler panicked");
-                    // The panicking request's wide event is recorded *before*
-                    // the flight dump below, so the dump always contains it —
-                    // the phase accumulator keeps whatever the handler noted
-                    // before unwinding.
-                    if cqc_obs::wide::enabled() {
-                        let handle_ns = exec.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                        emit_wide(
-                            shared,
-                            &wide_ctx,
-                            protocol,
-                            endpoint,
-                            Outcome::Panic,
-                            500,
-                            handle_ns,
-                            body.len(),
-                            None,
-                        );
-                    }
-                    shared.flight_dumps.dump("panic", true);
-                    let mut out = Vec::new();
-                    if is_http {
-                        let _ = crate::http::write_response(
-                            &mut out,
-                            500,
-                            "application/json",
-                            body.as_bytes(),
-                            true,
-                        );
-                    } else {
-                        out.extend_from_slice(body.as_bytes());
-                        out.push(b'\n');
-                    }
-                    (out, true)
-                }
-            };
-        state.in_flight.fetch_sub(1, Ordering::Relaxed);
-        lock(&state.completions).push(Completion {
-            token,
-            bytes,
-            close,
-        });
-        // Wake the event loop; WouldBlock means a wake byte is already
-        // pending, which is just as good.
-        let mut wake_ref: &TcpStream = wake;
-        let _ = std::io::Write::write(&mut wake_ref, &[1]);
-    }
+    state.in_flight.fetch_sub(1, Ordering::Relaxed);
+    lock(&state.completions).push(Completion {
+        token,
+        bytes,
+        close,
+    });
+    // Wake the event loop; WouldBlock means a wake byte is already
+    // pending, which is just as good.
+    shared.wake();
 }
 
 /// The wide-event coordinates of the job a worker is executing: slab
-/// token, per-connection request ordinal, and the queue wait measured at
-/// dequeue.
+/// token, per-connection request ordinal, and the queue wait measured when
+/// the job started.
 pub(crate) struct WideCtx {
     /// Connection slab token.
     pub token: Token,
     /// 1-based request ordinal on the connection.
     pub conn_req: u64,
-    /// Nanoseconds the job waited in the dispatch queue.
+    /// Nanoseconds between admission and the job's start on a worker.
     pub queue_ns: u64,
 }
 

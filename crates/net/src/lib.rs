@@ -2,8 +2,8 @@
 //!
 //! Puts real traffic on the sharded counting server of `cqc-serve`: an
 //! **event-driven** TCP server — non-blocking sockets on a `poll(2)`
-//! readiness loop, a per-connection state machine, and a bounded dispatch
-//! queue feeding a small worker pool — that speaks **HTTP/1.1**
+//! readiness loop, a per-connection state machine, and bounded admission
+//! of engine work onto the `cqc-runtime` pool — that speaks **HTTP/1.1**
 //! (`POST /count`, a streaming-NDJSON `POST /stream`, `GET /healthz`,
 //! `GET /metrics`, and the read-only introspection endpoints
 //! `GET /debug/requests`, `GET /debug/flight`, `GET /debug/loop`) and the

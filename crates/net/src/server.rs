@@ -2,16 +2,16 @@
 //! *and* raw newline-delimited JSON on one port, wrapping the sharded
 //! counting core of `cqc_serve::Server`.
 //!
-//! ## Architecture: readiness loop + dispatch workers
+//! ## Architecture: readiness loop + the runtime pool
 //!
 //! One **event thread** owns every socket: it polls them for readiness
 //! (`poll(2)` through the std-only shim in [`crate::poll`]), accepts new
 //! connections, fills per-connection read buffers, frames requests
 //! ([`crate::conn`]: read → parse), and drains write buffers. Engine work
 //! never runs on the event thread — `/count`, `/stream` and NDJSON lines
-//! are pushed onto the **bounded dispatch queue** ([`crate::dispatch`]),
-//! where a small pool of dispatch workers executes them (fanning across
-//! the `cqc-runtime` pool) and hands fully rendered response bytes back.
+//! pass the **bounded admission counter** ([`crate::dispatch`]) and run as
+//! detached jobs on the `cqc-runtime` pool, whose workers also fan each
+//! request's parallel loops, and hand fully rendered response bytes back.
 //! A connection with a request in flight is not read further — that
 //! per-connection backpressure is what keeps responses ordered and
 //! buffers bounded.
@@ -53,7 +53,7 @@
 //! `split_seed(seed, i)`, and merges are index-ordered (see `cqc-serve`).
 //! The network layer adds nothing nondeterministic around the body — HTTP
 //! headers are a fixed function of the body, and which *thread* renders a
-//! response (event loop for inline endpoints, a dispatch worker for engine
+//! response (event loop for inline endpoints, a pool worker for engine
 //! work) never appears on the wire. `tests/wire_determinism.rs` pins the
 //! full matrix.
 //!
@@ -63,7 +63,7 @@
 //! writes a byte to the event thread's wake socket. The listener closes
 //! immediately, in-flight requests finish and flush (bounded by a short
 //! drain deadline for peers that stop reading), idle connections close,
-//! the dispatch workers join, and [`RunningServer::wait`] /
+//! the event thread exits, and [`RunningServer::wait`] /
 //! [`RunningServer::shutdown`] return the total count requests served.
 
 use crate::conn::{Conn, HttpNext, NdjsonNext, Proto};
@@ -291,7 +291,7 @@ impl FlightDumps {
     }
 }
 
-/// State shared by the event thread, the dispatch workers, and the
+/// State shared by the event thread, the dispatched jobs, and the
 /// shutdown handle.
 pub(crate) struct Shared {
     pub(crate) serve: Server,
@@ -398,17 +398,12 @@ pub struct RunningServer {
 
 impl RunningServer {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// the event thread and dispatch workers.
+    /// the event thread.
     pub fn bind(addr: &str, config: NetConfig) -> std::io::Result<RunningServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let (wake_tx, wake_rx) = wake_pair()?;
-        // Dispatch workers follow the one width knob (`--threads` /
-        // `COUNTING_THREADS`): at least two, so one long `/stream` batch
-        // cannot head-of-line block every other request, and at most eight,
-        // so dispatch threads do not crowd the runtime pool they fan into.
-        let workers = cqc_runtime::resolve_threads(config.serve.threads).clamp(2, 8);
         // Register every metric series before the first connection is
         // accepted: a scrape against an idle server must see the full,
         // zero-valued document, not whatever happened to be touched.
@@ -435,13 +430,12 @@ impl RunningServer {
             max_requests: config.max_requests,
             wake: wake_tx,
         });
-        let worker_wake = Arc::new(shared.wake.try_clone()?);
         let queue_limit = if config.dispatch_queue_limit == 0 {
             DEFAULT_DISPATCH_QUEUE_LIMIT
         } else {
             config.dispatch_queue_limit
         };
-        let dispatcher = Dispatcher::start(Arc::clone(&shared), workers, queue_limit, worker_wake);
+        let dispatcher = Dispatcher::new(Arc::clone(&shared), queue_limit);
         let event_loop = EventLoop {
             shared: Arc::clone(&shared),
             dispatcher,
@@ -506,8 +500,9 @@ impl RunningServer {
         }
     }
 
-    /// Signal shutdown and wait for the event thread (and its dispatch
-    /// workers) to finish. Returns the total count requests served.
+    /// Signal shutdown and wait for the event thread to finish (it exits
+    /// only once every dispatched job has finished). Returns the total
+    /// count requests served.
     pub fn shutdown(mut self) -> u64 {
         self.shared.signal();
         if let Some(handle) = self.event.take() {
@@ -540,7 +535,7 @@ impl Drop for RunningServer {
 
 /// A loopback socket pair serving as the event thread's wake channel: the
 /// read end sits in the poll set, anyone holding the write end (shutdown
-/// handles, dispatch workers) makes the poll return by writing a byte.
+/// handles, dispatched jobs) makes the poll return by writing a byte.
 fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
     let tx = TcpStream::connect(listener.local_addr()?)?;
@@ -717,7 +712,7 @@ impl EventLoop {
                 }
             }
 
-            // Shutdown drain: everything not waiting on a dispatch worker
+            // Shutdown drain: everything not waiting on a dispatched job
             // closes once flushed (or once the drain deadline passes).
             if stopping {
                 let drain_expired = self
@@ -746,8 +741,6 @@ impl EventLoop {
                 .loop_stats
                 .note_tick(tick_ns, self.dispatcher.depth());
         }
-        // Queue drained, connections closed: stop and join the workers.
-        self.dispatcher.shutdown();
     }
 
     /// Accept until the listener would block.

@@ -19,7 +19,7 @@
 //! * a thread-local **phase accumulator** ([`phases_begin`] /
 //!   [`note_phase`] / [`note_class`] / [`note_trace`] / [`phases_take`])
 //!   that lets the serve layer annotate phase timings onto the request the
-//!   dispatch worker is currently executing without threading a context
+//!   current thread is executing without threading a context
 //!   parameter through every call.
 //!
 //! ## Invisibility
@@ -95,7 +95,7 @@ pub struct WideEvent {
     pub outcome: Outcome,
     /// HTTP status (NDJSON responses borrow the same convention).
     pub status: u16,
-    /// Wall time spent queued before a dispatch worker picked the job up.
+    /// Wall time spent queued before a pool worker picked the job up.
     pub queue_ns: u64,
     /// Total handler wall time (zero for shed requests).
     pub handle_ns: u64,
@@ -265,7 +265,8 @@ thread_local! {
 }
 
 /// Arm the phase accumulator for the request about to execute on this
-/// thread. Called by the dispatch worker before invoking the handler.
+/// thread. Called by the network front end's job before invoking the
+/// handler.
 pub fn phases_begin() {
     PHASES.with(|p| *p.borrow_mut() = Some(Phases::default()));
 }

@@ -57,10 +57,13 @@
 //! pool workers join in — dispatching costs a mutex lock and a wakeup
 //! instead of a thread spawn per call, which is what makes fanning out
 //! *small* oracle calls profitable. Nested calls (a `par_*` issued from
-//! inside a pool worker) and calls that find the pool busy run inline on
-//! the calling thread. The global pool's width resolves exactly like an
-//! automatic thread count (`resolve_threads(0)`), so there is one width
-//! knob. The pool module carries the runtime's only `unsafe`
+//! inside a helper slot) and calls that find the pool busy run inline on
+//! the calling thread. The same workers run detached jobs
+//! ([`pool::Pool::spawn`]): the network front end runs each request as
+//! one, and its `par_*` calls get helpers like any top-level caller's, so
+//! the process has one executor. The global pool's width resolves
+//! exactly like an automatic thread count (`resolve_threads(0)`), so there
+//! is one width knob. The pool module carries the runtime's only `unsafe`
 //! (lifetime-erased scoped jobs behind a retire-before-return protocol —
 //! see its docs); the rest of this crate denies `unsafe_code`.
 

@@ -48,28 +48,43 @@
 //!
 //! ## Nesting and contention
 //!
-//! A pool runs one job at a time. A job the pool cannot take — issued from
-//! within a pool worker (e.g. the inner per-evaluation runtime of
-//! `count_batch`), or finding the pool busy with another top-level job —
+//! A pool runs one scoped job at a time. A job the pool cannot take —
+//! issued from within a helper slot (e.g. the inner per-evaluation runtime
+//! of `count_batch`), or finding the pool busy with another top-level job —
 //! runs inline on the calling thread. Inline execution is the width-1 case
 //! of the same loop body, so it changes wall time only, never results.
+//!
+//! ## Detached jobs
+//!
+//! [`Pool::spawn`] hands the pool an owned `'static` closure to run once,
+//! with nobody waiting on it — the network front end runs every dispatched
+//! request this way. Detached jobs queue FIFO in the pool state; a free
+//! worker prefers a claimable helper slot, then the oldest detached job,
+//! then parks. A detached job is a *top-level* caller, not a helper: its
+//! own `par_*` calls publish scoped jobs and get helpers like any other
+//! caller's. For that the pool keeps at least two workers once anything
+//! is spawned, so one long detached job never starves the rest of the
+//! queue, even at width 1.
 
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 thread_local! {
-    /// Set for the lifetime of every pool worker thread; lets nested
-    /// `par_*` calls detect that they are already running on the pool.
+    /// Set while a pool worker runs a helper slot of a scoped job; lets
+    /// nested `par_*` calls detect that they are already running on the
+    /// pool. A worker running a detached job leaves it unset.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Is the current thread a pool worker? Nested parallel calls use this to
-/// run inline instead of deadlocking on their own pool.
+/// Is the current thread a pool worker running a helper slot? Nested
+/// parallel calls use this to run inline instead of deadlocking on their
+/// own pool.
 pub fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
@@ -108,6 +123,8 @@ struct State {
     active: usize,
     /// A helper panicked inside the current job.
     panicked: bool,
+    /// Detached jobs not yet taken by a worker, oldest first.
+    detached: VecDeque<Box<dyn FnOnce() + Send>>,
     /// Worker threads spawned so far (they are spawned lazily on demand).
     spawned: usize,
     shutdown: bool,
@@ -167,6 +184,7 @@ impl Pool {
                 slots: 0,
                 active: 0,
                 panicked: false,
+                detached: VecDeque::new(),
                 spawned: 0,
                 shutdown: false,
             }),
@@ -203,9 +221,9 @@ impl Pool {
     /// width). Every participant calls `body` exactly once; `body` is
     /// expected to self-schedule over an atomic cursor.
     ///
-    /// When the pool cannot take the job — the caller is itself a pool
-    /// worker (nested parallelism), another job is in flight, or no helper
-    /// could be spawned — `body` runs inline on the caller alone. Either
+    /// When the pool cannot take the job — the caller is itself running a
+    /// helper slot (nested parallelism), another job is in flight, or no
+    /// helper could be spawned — `body` runs inline on the caller alone. Either
     /// way the job has fully retired on return: no worker touches `body`
     /// after this function returns.
     pub fn execute(&self, width: usize, body: &(dyn Fn() + Sync)) {
@@ -253,19 +271,7 @@ impl Pool {
         if st.job.is_some() {
             return false; // busy with another top-level job
         }
-        // Lazily grow the worker set up to the helpers we want now. A
-        // failed spawn (e.g. the OS thread limit) stops the growth without
-        // panicking under the lock, which would poison the pool for every
-        // later call; the job runs with the helpers that exist.
-        while st.spawned < helpers {
-            let shared = Arc::clone(&self.shared);
-            let spawned = std::thread::Builder::new()
-                .name("cqc-pool-worker".into())
-                .spawn(move || worker_loop(&shared));
-            let Ok(handle) = spawned else { break };
-            self.handles.lock().unwrap().push(handle);
-            st.spawned += 1;
-        }
+        self.grow(&mut st, helpers);
         if st.spawned == 0 {
             return false;
         }
@@ -283,6 +289,43 @@ impl Pool {
             );
         }
         true
+    }
+
+    /// Run `job` once on a pool worker, without waiting for it. Jobs run
+    /// in FIFO order as workers come free, each as a top-level caller (its
+    /// `par_*` calls get helpers; see the module docs). The pool grows to
+    /// `width().max(2)` workers, so one long job never blocks the next.
+    /// A panic inside `job` is caught and dropped; the worker carries on.
+    /// If no worker exists and none can be spawned, `job` runs inline on
+    /// the caller instead of being lost. Dropping a local pool runs every
+    /// job still queued before its workers exit.
+    pub fn spawn(&self, job: Box<dyn FnOnce() + Send>) {
+        let mut st = self.shared.state.lock().unwrap();
+        self.grow(&mut st, self.width().max(2));
+        if st.spawned == 0 {
+            drop(st);
+            job();
+            return;
+        }
+        st.detached.push_back(job);
+        drop(st);
+        self.shared.work_cv.notify_one();
+    }
+
+    /// Lazily grow the worker set to `target` threads. A failed spawn (e.g.
+    /// the OS thread limit) stops the growth without panicking under the
+    /// lock, which would poison the pool for every later call; the caller
+    /// makes do with the workers that exist.
+    fn grow(&self, st: &mut State, target: usize) {
+        while st.spawned < target {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name("cqc-pool-worker".into())
+                .spawn(move || worker_loop(&shared));
+            let Ok(handle) = spawned else { break };
+            self.handles.lock().unwrap().push(handle);
+            st.spawned += 1;
+        }
     }
 }
 
@@ -315,13 +358,9 @@ fn erase<'a>(body: &'a (dyn Fn() + Sync)) -> ErasedJob {
 }
 
 fn worker_loop(shared: &Shared) {
-    IN_POOL_WORKER.with(|f| f.set(true));
     let mut seen_epoch = 0u64;
     let mut st = shared.state.lock().unwrap();
     loop {
-        if st.shutdown {
-            return;
-        }
         if st.job.is_some() && st.slots > 0 && st.epoch != seen_epoch {
             // Claim a slot: from here on the publisher waits for us.
             seen_epoch = st.epoch;
@@ -332,7 +371,9 @@ fn worker_loop(shared: &Shared) {
             // SAFETY: the slot claim above happened under the mutex while
             // `job` was published, so the closure is alive until we
             // decrement `active` below (retire-before-return).
+            IN_POOL_WORKER.with(|f| f.set(true));
             let ok = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() })).is_ok();
+            IN_POOL_WORKER.with(|f| f.set(false));
             st = shared.state.lock().unwrap();
             st.active -= 1;
             if !ok {
@@ -341,6 +382,14 @@ fn worker_loop(shared: &Shared) {
             if st.active == 0 {
                 shared.done_cv.notify_all();
             }
+        } else if let Some(job) = st.detached.pop_front() {
+            drop(st);
+            // Nobody waits on a detached job, so its panic has nowhere to
+            // go; catching it keeps this worker serving the queue.
+            let _ = catch_unwind(AssertUnwindSafe(job));
+            st = shared.state.lock().unwrap();
+        } else if st.shutdown {
+            return;
         } else {
             st = shared.work_cv.wait(st).unwrap();
         }
@@ -449,6 +498,84 @@ mod tests {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert!(ran.load(Ordering::Relaxed) >= 1);
+    }
+
+    /// Long enough that a healthy pool never hits it, short enough that a
+    /// regression fails the test instead of hanging it.
+    const PATIENCE: std::time::Duration = std::time::Duration::from_secs(10);
+
+    #[test]
+    fn spawned_job_runs_once_on_a_worker_as_a_top_level_caller() {
+        let pool = Pool::new(2);
+        let runs = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let counter = Arc::clone(&runs);
+        pool.spawn(Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            tx.send((std::thread::current().id(), on_pool_worker()))
+                .unwrap();
+        }));
+        let (thread, flagged) = rx.recv_timeout(PATIENCE).expect("job ran");
+        assert_ne!(thread, std::thread::current().id(), "ran on the caller");
+        assert!(!flagged, "a detached job is not a helper slot");
+        drop(pool); // joins the workers
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn execute_from_a_detached_job_gets_a_helper() {
+        let pool: &'static Pool = Box::leak(Box::new(Pool::new(2)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(Box::new(move || {
+            // the other worker is idle, so it must join this scoped job;
+            // a detached job flagged as a helper would run it inline alone
+            let participants = AtomicUsize::new(0);
+            let deadline = std::time::Instant::now() + PATIENCE;
+            pool.execute(2, &|| {
+                participants.fetch_add(1, Ordering::SeqCst);
+                while participants.load(Ordering::SeqCst) < 2
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+            });
+            tx.send(participants.load(Ordering::SeqCst)).unwrap();
+        }));
+        let participants = rx.recv_timeout(2 * PATIENCE).expect("job ran");
+        assert_eq!(participants, 2, "no helper joined the detached job");
+    }
+
+    #[test]
+    fn width_one_pool_runs_two_detached_jobs_at_once() {
+        let pool = Pool::new(1);
+        let (to_b, from_a) = std::sync::mpsc::channel();
+        let (to_a, from_b) = std::sync::mpsc::channel();
+        let (done, results) = std::sync::mpsc::channel();
+        // each job waits for the other's greeting: both complete only if
+        // they run concurrently
+        for (tx, rx) in [(to_b, from_b), (to_a, from_a)] {
+            let done = done.clone();
+            pool.spawn(Box::new(move || {
+                tx.send(()).unwrap();
+                done.send(rx.recv_timeout(PATIENCE).is_ok()).unwrap();
+            }));
+        }
+        for _ in 0..2 {
+            let met = results.recv_timeout(2 * PATIENCE).expect("job ran");
+            assert!(met, "the two detached jobs never ran at the same time");
+        }
+    }
+
+    #[test]
+    fn panicking_detached_job_leaves_the_pool_serving() {
+        let pool = Pool::new(1);
+        // more panics than workers: an uncaught one would kill its worker
+        for _ in 0..3 {
+            pool.spawn(Box::new(|| panic!("injected detached failure")));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(Box::new(move || tx.send(()).unwrap()));
+        rx.recv_timeout(PATIENCE).expect("a later job still ran");
     }
 
     #[test]

@@ -524,7 +524,7 @@ impl Server {
             panic!("fail injection: request carried `\"panic\": true`");
         }
         // Phase annotations for the request's wide event: armed by the
-        // network front end's dispatch worker, drained at emission. The
+        // network front end's dispatched job, drained at emission. The
         // stopwatches run only when an accumulator is armed, and their
         // readings land in telemetry only — never in a result.
         let annotate = cqc_obs::wide::phases_active();

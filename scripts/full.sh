@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full artifact run: the same pipeline as scripts/kick-tires.sh but with
 # the large suite configuration (24 queries per class, 60-tuple databases,
-# 160 serve requests per class, epsilon 0.35 / delta 0.1) plus the
-# criterion benches. Expect tens of minutes on a laptop.
+# 160 serve requests per class, epsilon 0.35 / delta 0.1). Expect tens of
+# minutes on a laptop.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +25,3 @@ fi
 
 ./target/release/cqc report bench --current "$out/BENCH_workloads.full.json" \
     "${baseline_args[@]}" | tee "$out/report.txt"
-
-# The criterion benches (per-class engine ops + the serving layer).
-cargo bench -p cqc-bench --bench workload_suite 2>&1 | tee "$out/bench_workload_suite.txt"
-cargo bench -p cqc-bench --bench net_loadgen 2>&1 | tee "$out/bench_net_loadgen.txt"
