@@ -5,10 +5,9 @@
 //! cargo run --release -p cqc-bench --bin report -- <experiment> [--large]
 //! cargo run --release -p cqc-bench --bin report -- all
 //! ```
-//! Experiments: `thm5`, `obs9`, `obs10`, `cor6`, `thm13`, `thm16`,
-//! `footnote4`, `sampling`, `unions`, `widths`, `ablation-colour`,
-//! `ablation-naive`, `parallel`, `hom-engines`, `ablation-dlm`. `--large`
-//! uses the full problem sizes. At the default sizes most experiments
+//! The experiment names are listed in `EXPERIMENTS`; any other name prints
+//! the usage and the list to stderr and exits 2. `--large` uses the full
+//! problem sizes. At the default sizes most experiments
 //! take seconds (`widths` 0.2 s, `thm16` 2.5 s on a 2-vCPU VM), but `cor6`
 //! and `ablation-naive`, which both count with the FPTRAS, each ran past
 //! 300 s there without finishing (ROADMAP item 3), so `all` is slow.
@@ -34,60 +33,46 @@ use cqc_workloads::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// An experiment's name and its runner, which takes the `--large` flag.
+type Experiment = (&'static str, fn(bool));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("thm5", experiment_thm5),
+    ("obs9", experiment_obs9),
+    ("obs10", experiment_obs10),
+    ("cor6", experiment_cor6),
+    ("thm13", experiment_thm13),
+    ("thm16", experiment_thm16),
+    ("footnote4", experiment_footnote4),
+    ("sampling", |_| experiment_sampling()),
+    ("unions", |_| experiment_unions()),
+    ("widths", |_| experiment_widths()),
+    ("ablation-colour", |_| experiment_ablation_colour()),
+    ("ablation-naive", |_| experiment_ablation_naive()),
+    ("parallel", experiment_parallel),
+    ("hom-engines", |_| experiment_hom_engines()),
+    ("ablation-dlm", |_| experiment_ablation_dlm()),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let large = args.iter().any(|a| a == "--large");
     let which = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    let run = |name: &str| which == "all" || which == name;
-
-    if run("thm5") {
-        experiment_thm5(large);
+        .map_or("all", String::as_str);
+    if which != "all" && !EXPERIMENTS.iter().any(|&(name, _)| name == which) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        eprintln!("unknown experiment `{which}`");
+        eprintln!("usage: report <experiment|all> [--large]");
+        eprintln!("experiments: {}", names.join(", "));
+        std::process::exit(2);
     }
-    if run("obs9") {
-        experiment_obs9(large);
-    }
-    if run("obs10") {
-        experiment_obs10(large);
-    }
-    if run("cor6") {
-        experiment_cor6(large);
-    }
-    if run("thm13") {
-        experiment_thm13(large);
-    }
-    if run("thm16") {
-        experiment_thm16(large);
-    }
-    if run("footnote4") {
-        experiment_footnote4(large);
-    }
-    if run("sampling") {
-        experiment_sampling();
-    }
-    if run("unions") {
-        experiment_unions();
-    }
-    if run("widths") {
-        experiment_widths();
-    }
-    if run("ablation-colour") {
-        experiment_ablation_colour();
-    }
-    if run("ablation-naive") {
-        experiment_ablation_naive();
-    }
-    if run("parallel") {
-        experiment_parallel(large);
-    }
-    if run("hom-engines") {
-        experiment_hom_engines();
-    }
-    if run("ablation-dlm") {
-        experiment_ablation_dlm();
+    for &(name, experiment) in EXPERIMENTS {
+        if which == "all" || which == name {
+            experiment(large);
+        }
     }
 }
 

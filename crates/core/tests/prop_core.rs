@@ -12,11 +12,16 @@ use cqc_core::{
     count_union, exact_count_answers, naive_monte_carlo, ApproxConfig, Backend, CountMethod,
     EngineBuilder, PreparedQuery,
 };
-use cqc_data::{Structure, StructureBuilder};
-use cqc_query::{enumerate_answers, parse_query, Query, QueryClass};
+use cqc_data::{Structure, StructureBuilder, Val};
+use cqc_hom::bag_partial_solutions;
+use cqc_query::{
+    build_a_structure, build_b_structure, enumerate_answers, parse_query, partial_solutions, Query,
+    QueryClass, Var,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// A random directed graph database over the single binary relation `E`.
 #[derive(Debug, Clone)]
@@ -210,5 +215,36 @@ proptest! {
             est,
             truth
         );
+    }
+
+    /// Lemma 48's join kernel computes exactly the `Sol(ϕ, D, B)` relation
+    /// of Definition 47 for every bag of every CQ, and emits its rows in
+    /// strictly increasing lexicographic order (automaton state ids depend
+    /// on that order).
+    #[test]
+    fn bag_partial_solutions_match_definition_47(raw in raw_graph(7, 14)) {
+        let db = graph_db(&raw);
+        let mut queries: Vec<Query> = query_pool()
+            .into_iter()
+            .map(|(_, q)| q)
+            .filter(|q| q.class() == QueryClass::CQ)
+            .collect();
+        queries.push(parse_query("ans(x, y) :- E(x, u), E(u, v), E(v, y)").unwrap());
+        for q in &queries {
+            let a = build_a_structure(q);
+            let b = build_b_structure(q, &db).unwrap();
+            let n = q.num_vars();
+            for mask in 0u32..(1 << n) {
+                let bag: Vec<usize> = (0..n).filter(|&v| mask & (1 << v) != 0).collect();
+                let vars: Vec<Var> = bag.iter().map(|&v| Var(v as u32)).collect();
+                let rows = bag_partial_solutions(&a, &b, &bag);
+                prop_assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]),
+                    "{q}: rows of bag {bag:?} are not strictly increasing"
+                );
+                let got: BTreeSet<Vec<Val>> = rows.into_iter().collect();
+                prop_assert_eq!(got, partial_solutions(q, &db, &vars), "{} bag {:?}", q, bag);
+            }
+        }
     }
 }

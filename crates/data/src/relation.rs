@@ -106,15 +106,15 @@ impl Relation {
         self.tuples.iter()
     }
 
-    /// All tuples carrying `value` at position `pos` (0-based).
+    /// All tuples carrying `value` at position `pos` (0-based), in sorted
+    /// order.
     ///
     /// Builds the per-column index on first use.
-    pub fn select(&self, pos: usize, value: Val) -> Vec<Tuple> {
+    pub fn matching(&self, pos: usize, value: Val) -> &[Tuple] {
         assert!(pos < self.arity);
         self.ensure_index()[pos]
             .get(&value)
-            .cloned()
-            .unwrap_or_default()
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The set of distinct values occurring at position `pos`.
@@ -238,23 +238,23 @@ mod tests {
     }
 
     #[test]
-    fn select_by_position() {
+    fn matching_by_position() {
         let r = rel(&[(0, 1), (0, 2), (1, 2)]);
-        let sel = r.select(0, Val(0));
-        assert_eq!(sel.len(), 2);
-        let sel = r.select(1, Val(2));
-        assert_eq!(sel.len(), 2);
-        let sel = r.select(1, Val(9));
-        assert!(sel.is_empty());
+        assert_eq!(
+            r.matching(0, Val(0)),
+            [Tuple::from_raw(&[0, 1]), Tuple::from_raw(&[0, 2])]
+        );
+        assert_eq!(r.matching(1, Val(2)).len(), 2);
+        assert!(r.matching(1, Val(9)).is_empty());
     }
 
     #[test]
-    fn select_index_survives_mutation() {
+    fn matching_index_survives_mutation() {
         let mut r = rel(&[(0, 1)]);
-        assert_eq!(r.select(0, Val(0)).len(), 1);
+        assert_eq!(r.matching(0, Val(0)).len(), 1);
         r.insert(Tuple::from_raw(&[0, 2]));
         // index must be rebuilt after mutation
-        assert_eq!(r.select(0, Val(0)).len(), 2);
+        assert_eq!(r.matching(0, Val(0)).len(), 2);
     }
 
     #[test]

@@ -89,7 +89,7 @@ proptest! {
         prop_assert_eq!(db.relation(e).len(), before);
     }
 
-    /// The per-column index (`select`) agrees with a linear scan.
+    /// The per-column index (`matching`) agrees with a linear scan.
     #[test]
     fn relation_select_matches_scan(raw in raw_db(), pos in 0usize..2, value in 0u32..8) {
         let db = build(&raw);
@@ -97,8 +97,8 @@ proptest! {
         let rel = db.relation(e);
         prop_assume!((value as usize) < raw.universe);
         let selected: BTreeSet<Vec<Val>> = rel
-            .select(pos, Val(value))
-            .into_iter()
+            .matching(pos, Val(value))
+            .iter()
             .map(|t| t.values().to_vec())
             .collect();
         let scanned: BTreeSet<Vec<Val>> = rel

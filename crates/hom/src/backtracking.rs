@@ -1,26 +1,28 @@
-//! Backtracking homomorphism search with support pruning.
+//! Backtracking homomorphism search.
+//!
+//! The search is the crate's one descent (`bag_solutions::descend`) over
+//! every element of `A`: each variable only tries the values that all its
+//! constraints still support given the earlier variables, so dead branches
+//! are never entered.
 
+use crate::bag_solutions::descend;
 use crate::instance::HomInstance;
 use cqc_data::{Structure, Val};
+use std::ops::ControlFlow;
 
 /// A complete backtracking solver for `Hom(A, B)`.
 ///
 /// Variable order: minimum remaining values (static, based on unary-filtered
-/// domains), then by number of constraints. At every node, all constraints
-/// touching an assigned variable are support-checked (a semijoin-style
-/// filter), which prunes dead branches early. Worst-case exponential in
+/// domains), then by number of constraints. Worst-case exponential in
 /// `|U(A)|`, but complete for arbitrary structures — this is the fallback
 /// engine of [`crate::HybridDecider`].
-#[derive(Debug, Clone, Default)]
-pub struct BacktrackingDecider {
-    /// Optional cap on the number of search nodes (`None` = unlimited).
-    pub node_limit: Option<u64>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BacktrackingDecider;
 
 impl BacktrackingDecider {
-    /// A solver without a node limit.
+    /// The solver.
     pub fn new() -> Self {
-        Self::default()
+        BacktrackingDecider
     }
 
     /// Decide whether a homomorphism `A → B` exists.
@@ -30,117 +32,47 @@ impl BacktrackingDecider {
 
     /// Find one homomorphism if it exists (as a value per element of `A`).
     pub fn find(&self, a: &Structure, b: &Structure) -> Option<Vec<Val>> {
-        let inst = HomInstance::new(a, b);
-        let n = inst.num_vars();
-        if n == 0 {
-            // the empty map is a homomorphism iff A has no facts, which is
-            // vacuously true here since facts need elements
-            return Some(vec![]);
-        }
-        let domains = inst.initial_domains();
-        if domains.iter().any(|d| d.is_empty()) {
-            return None;
-        }
-        // static variable order: most constrained (smallest domain, then most constraints)
-        let mut order: Vec<usize> = (0..n).collect();
-        let constraint_count = |v: usize| {
-            inst.constraints
-                .iter()
-                .filter(|c| c.vars.contains(&v))
-                .count()
-        };
-        order.sort_by_key(|&v| (domains[v].len(), usize::MAX - constraint_count(v)));
-
-        let mut assignment: Vec<Option<Val>> = vec![None; n];
-        let mut nodes: u64 = 0;
-        if self.search(&inst, &domains, &order, 0, &mut assignment, &mut nodes) {
-            Some(
-                assignment
-                    .into_iter()
-                    .map(|v| v.expect("complete"))
-                    .collect(),
-            )
-        } else {
-            None
-        }
+        first_homomorphism(&HomInstance::new(a, b))
     }
 
-    /// Enumerate all homomorphisms (used in tests and small baselines).
+    /// Enumerate all homomorphisms, in lexicographic order (used in tests
+    /// and small baselines).
     pub fn enumerate(&self, a: &Structure, b: &Structure) -> Vec<Vec<Val>> {
         let inst = HomInstance::new(a, b);
-        let n = inst.num_vars();
+        let vars: Vec<usize> = (0..inst.num_vars()).collect();
+        let all: Vec<usize> = (0..inst.constraints.len()).collect();
         let mut out = Vec::new();
-        if n == 0 {
-            out.push(vec![]);
-            return out;
-        }
-        let domains = inst.initial_domains();
-        let mut assignment: Vec<Option<Val>> = vec![None; n];
-        self.enumerate_rec(&inst, &domains, 0, &mut assignment, &mut out);
+        let _ = descend(&inst, &vars, &all, &inst.initial_domains(), &mut |asg| {
+            out.push(full(asg));
+            ControlFlow::Continue(())
+        });
         out
     }
+}
 
-    fn enumerate_rec(
-        &self,
-        inst: &HomInstance<'_>,
-        domains: &[Vec<Val>],
-        var: usize,
-        assignment: &mut Vec<Option<Val>>,
-        out: &mut Vec<Vec<Val>>,
-    ) {
-        let n = inst.num_vars();
-        if var == n {
-            out.push(assignment.iter().map(|v| v.expect("complete")).collect());
-            return;
-        }
-        for &val in &domains[var] {
-            assignment[var] = Some(val);
-            let consistent = inst
-                .constraints
-                .iter()
-                .filter(|c| c.vars.contains(&var))
-                .all(|c| inst.constraint_supported(c, assignment));
-            if consistent {
-                self.enumerate_rec(inst, domains, var + 1, assignment, out);
-            }
-        }
-        assignment[var] = None;
-    }
+/// The first homomorphism of `inst` in minimum-remaining-values order.
+pub(crate) fn first_homomorphism(inst: &HomInstance<'_>) -> Option<Vec<Val>> {
+    let domains = inst.initial_domains();
+    let constraint_count = |v: usize| {
+        inst.constraints
+            .iter()
+            .filter(|c| c.vars.contains(&v))
+            .count()
+    };
+    let mut order: Vec<usize> = (0..inst.num_vars()).collect();
+    order.sort_by_key(|&v| (domains[v].len(), usize::MAX - constraint_count(v)));
+    let all: Vec<usize> = (0..inst.constraints.len()).collect();
+    let mut found = None;
+    let _ = descend(inst, &order, &all, &domains, &mut |asg| {
+        found = Some(full(asg));
+        ControlFlow::Break(())
+    });
+    found
+}
 
-    fn search(
-        &self,
-        inst: &HomInstance<'_>,
-        domains: &[Vec<Val>],
-        order: &[usize],
-        level: usize,
-        assignment: &mut Vec<Option<Val>>,
-        nodes: &mut u64,
-    ) -> bool {
-        if level == order.len() {
-            return true;
-        }
-        let var = order[level];
-        for &val in &domains[var] {
-            *nodes += 1;
-            if let Some(limit) = self.node_limit {
-                if *nodes > limit {
-                    return false;
-                }
-            }
-            assignment[var] = Some(val);
-            // support-check every constraint that touches any assigned variable
-            let consistent = inst
-                .constraints
-                .iter()
-                .filter(|c| c.vars.contains(&var))
-                .all(|c| inst.constraint_supported(c, assignment));
-            if consistent && self.search(inst, domains, order, level + 1, assignment, nodes) {
-                return true;
-            }
-        }
-        assignment[var] = None;
-        false
-    }
+/// A complete assignment as a value per element.
+fn full(assignment: &[Option<Val>]) -> Vec<Val> {
+    assignment.iter().map(|v| v.expect("complete")).collect()
 }
 
 #[cfg(test)]
@@ -239,16 +171,6 @@ mod tests {
         bb.relation("E", 2);
         let b = bb.build();
         assert!(!solver.decide(&a, &b));
-    }
-
-    #[test]
-    fn node_limit_stops_search() {
-        let solver = BacktrackingDecider {
-            node_limit: Some(1),
-        };
-        // with only one node explored the solver may fail to find an existing
-        // homomorphism — it must not panic and must return quickly
-        let _ = solver.decide(&clique_graph(3), &clique_graph(5));
     }
 
     #[test]

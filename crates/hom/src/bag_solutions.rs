@@ -1,11 +1,15 @@
-//! Per-bag solution relations computed by generic-join style enumeration.
+//! The crate's one search: a generic-join style descent over a
+//! [`HomInstance`], and the per-bag solution relations built on it.
 //!
-//! Two flavours are provided:
+//! `descend` assigns variables in a given order; the candidates for a
+//! variable are the values every watched constraint mentioning it still
+//! supports, so no dead branch is entered. Every other engine of the crate
+//! calls it:
 //!
 //! * [`bag_solutions()`] — assignments of the bag variables satisfying every
 //!   constraint whose scope lies **inside** the bag; this is the local
-//!   relation used by the tree-decomposition dynamic programming
-//!   ([`crate::DecompositionDecider`], [`crate::count_homomorphisms`]).
+//!   relation of the tree-decomposition dynamic programming
+//!   ([`crate::count_homomorphisms`], [`crate::DecompositionDecider`]).
 //! * [`bag_partial_solutions`] — the `Sol(ϕ, D, B)` semantics of
 //!   Definition 47 / Lemma 48: assignments of the bag variables such that
 //!   **every** constraint, individually, still has a supporting tuple. For a
@@ -13,169 +17,190 @@
 //!   by the AGM bound `‖D‖^{fcn(H[B])}` and the join-style enumeration below
 //!   runs in input + output polynomial time, which is what the Theorem 16
 //!   pipeline needs.
+//! * [`crate::BacktrackingDecider`] — all variables in minimum-remaining-values
+//!   order, stopping at the first solution.
 
 use crate::instance::HomInstance;
-use cqc_data::{Structure, Val};
+use cqc_data::{Structure, Tuple, Val};
+use std::ops::ControlFlow;
 
 /// Assignments (in `bag` order) of the bag variables that satisfy every
 /// constraint of the instance whose scope is contained in `bag`.
-/// `domains[v]` bounds the values considered for variable `v`.
+/// `domains[v]` (sorted ascending) bounds the values considered for `v`.
+/// Rows come out in lexicographic bag order.
 pub fn bag_solutions(inst: &HomInstance<'_>, bag: &[usize], domains: &[Vec<Val>]) -> Vec<Vec<Val>> {
-    let in_bag = |v: usize| bag.contains(&v);
-    let local: Vec<usize> = inst
-        .constraints
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.vars.iter().all(|&v| in_bag(v)))
-        .map(|(i, _)| i)
+    let local: Vec<usize> = (0..inst.constraints.len())
+        .filter(|&ci| inst.constraints[ci].vars.iter().all(|v| bag.contains(v)))
         .collect();
-    let mut out = Vec::new();
-    let mut assignment: Vec<Option<Val>> = vec![None; inst.num_vars()];
-    enumerate_rec(
-        inst,
-        &local,
-        bag,
-        domains,
-        0,
-        &mut assignment,
-        &mut |a: &[Option<Val>]| {
-            out.push(bag.iter().map(|&v| a[v].expect("assigned")).collect());
-        },
-    );
-    out
+    collect_rows(inst, bag, &local, domains)
 }
 
 /// The `Sol(ϕ, D, B)` relation of Definition 47 computed for the pattern
 /// structure `a` over the data structure `b`: assignments of the elements in
 /// `bag` (a subset of `U(a)`) such that every fact of `a`, taken
 /// individually, still has a supporting tuple in `b` consistent with the
-/// assignment.
+/// assignment. Rows come out in lexicographic bag order.
 pub fn bag_partial_solutions(a: &Structure, b: &Structure, bag: &[usize]) -> Vec<Vec<Val>> {
     let inst = HomInstance::new(a, b);
     let all: Vec<usize> = (0..inst.constraints.len()).collect();
-    let domains = inst.initial_domains();
-    let mut out = Vec::new();
-    let mut assignment: Vec<Option<Val>> = vec![None; inst.num_vars()];
-    enumerate_rec(
-        &inst,
-        &all,
-        bag,
-        &domains,
-        0,
-        &mut assignment,
-        &mut |asg: &[Option<Val>]| {
-            out.push(bag.iter().map(|&v| asg[v].expect("assigned")).collect());
-        },
-    );
-    out
+    collect_rows(&inst, bag, &all, &inst.initial_domains())
 }
 
-/// Shared recursive enumeration: assign `bag[level..]` one variable at a
-/// time; candidate values for a variable are the intersection, over the
-/// watched constraints containing it, of the supported values given the
-/// current partial assignment (generic-join style), intersected with the
-/// variable's domain. Prunes as soon as any watched constraint loses support.
-fn enumerate_rec(
+/// Every assignment [`descend`] reaches, projected onto `order`.
+fn collect_rows(
     inst: &HomInstance<'_>,
+    order: &[usize],
     watched: &[usize],
-    bag: &[usize],
+    domains: &[Vec<Val>],
+) -> Vec<Vec<Val>> {
+    let mut rows = Vec::new();
+    let _ = descend(inst, order, watched, domains, &mut |asg| {
+        rows.push(order.iter().map(|&v| asg[v].expect("assigned")).collect());
+        ControlFlow::Continue(())
+    });
+    rows
+}
+
+/// A watched constraint that mentions the variable assigned at one level of
+/// the descent.
+struct Step {
+    /// Index into `inst.constraints`.
+    ci: usize,
+    /// The positions of the level's variable in the constraint.
+    at: Vec<usize>,
+    /// The positions holding variables assigned at earlier levels.
+    bound: Vec<usize>,
+}
+
+/// Assign `order` one variable at a time and call `emit` with every complete
+/// assignment (indexed by variable; variables outside `order` stay `None`)
+/// whose every watched constraint keeps a supporting tuple of `B`.
+///
+/// The candidates for a variable are the intersection, over the watched
+/// constraints containing it, of the values those constraints support given
+/// the earlier levels (generic join), intersected with the variable's domain
+/// (`domains[v]`, sorted ascending). Candidates are tried in ascending
+/// order, so assignments are emitted in lexicographic `order` order. `emit`
+/// returns [`ControlFlow::Break`] to stop the descent, which then returns
+/// `Break` too.
+pub(crate) fn descend(
+    inst: &HomInstance<'_>,
+    order: &[usize],
+    watched: &[usize],
+    domains: &[Vec<Val>],
+    emit: &mut dyn FnMut(&[Option<Val>]) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let mut assignment: Vec<Option<Val>> = vec![None; inst.num_vars()];
+    // A watched constraint disjoint from `order` only needs some tuple at all
+    // (Definition 47 requires every atom to be individually extendable).
+    let untouched_supported = watched.iter().all(|&ci| {
+        let c = &inst.constraints[ci];
+        c.vars.iter().any(|v| order.contains(v)) || inst.constraint_supported(c, &assignment)
+    });
+    if !untouched_supported {
+        return ControlFlow::Continue(());
+    }
+    let steps: Vec<Vec<Step>> = order
+        .iter()
+        .enumerate()
+        .map(|(level, var)| {
+            let earlier = &order[..level];
+            watched
+                .iter()
+                .filter_map(|&ci| {
+                    let vars = &inst.constraints[ci].vars;
+                    let at: Vec<usize> = (0..vars.len()).filter(|&p| vars[p] == *var).collect();
+                    (!at.is_empty()).then(|| Step {
+                        ci,
+                        at,
+                        bound: (0..vars.len())
+                            .filter(|&p| earlier.contains(&vars[p]))
+                            .collect(),
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    descend_from(inst, order, &steps, domains, 0, &mut assignment, emit)
+}
+
+fn descend_from(
+    inst: &HomInstance<'_>,
+    order: &[usize],
+    steps: &[Vec<Step>],
     domains: &[Vec<Val>],
     level: usize,
-    assignment: &mut Vec<Option<Val>>,
-    emit: &mut dyn FnMut(&[Option<Val>]),
-) {
-    if level == bag.len() {
-        // Constraints disjoint from the bag were never touched during the
-        // descent; they must still have at least one supporting tuple
-        // (Definition 47 requires every atom to be individually extendable).
-        let all_supported = watched
-            .iter()
-            .all(|&ci| inst.constraint_supported(&inst.constraints[ci], assignment));
-        if all_supported {
-            emit(assignment);
-        }
-        return;
-    }
-    let var = bag[level];
-    // Constraints containing `var`.
-    let relevant: Vec<usize> = watched
-        .iter()
-        .copied()
-        .filter(|&ci| inst.constraints[ci].vars.contains(&var))
-        .collect();
-
-    let candidates: Vec<Val> = if relevant.is_empty() {
-        domains[var].clone()
-    } else {
-        // Start from the most selective constraint's supported values, then
-        // filter through the rest (and the unary domain).
-        let mut cands: Option<Vec<Val>> = None;
-        for &ci in &relevant {
-            let c = &inst.constraints[ci];
-            let rel = inst.b.relation(c.sym);
-            // positions of `var` in the constraint scope
-            let positions: Vec<usize> = c
-                .vars
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v == var)
-                .map(|(p, _)| p)
-                .collect();
-            // bound positions (already assigned variables)
-            let bound: Vec<(usize, Val)> = c
-                .vars
-                .iter()
-                .enumerate()
-                .filter_map(|(pos, &v)| assignment[v].map(|val| (pos, val)))
-                .collect();
-            let mut supported: Vec<Val> = Vec::new();
-            'tuples: for t in rel.iter() {
-                for &(pos, val) in &bound {
-                    if t.get(pos) != val {
-                        continue 'tuples;
-                    }
-                }
-                // the same value must occur at every position of `var`
-                let first = t.get(positions[0]);
-                if positions.iter().all(|&p| t.get(p) == first) {
-                    supported.push(first);
-                }
-            }
-            supported.sort_unstable();
-            supported.dedup();
-            cands = Some(match cands {
-                None => supported,
-                Some(prev) => prev
-                    .into_iter()
-                    .filter(|v| supported.binary_search(v).is_ok())
-                    .collect(),
-            });
-            if cands.as_ref().map(|c| c.is_empty()).unwrap_or(false) {
-                break;
-            }
-        }
-        let mut cands = cands.unwrap_or_default();
-        cands.retain(|v| domains[var].contains(v));
-        cands
+    assignment: &mut [Option<Val>],
+    emit: &mut dyn FnMut(&[Option<Val>]) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let Some(&var) = order.get(level) else {
+        return emit(assignment);
     };
-
-    for val in candidates {
+    for val in candidates(inst, &steps[level], &domains[var], assignment) {
         assignment[var] = Some(val);
-        // support check: every watched constraint touching assigned vars keeps
-        // at least one consistent tuple
-        let ok = watched.iter().all(|&ci| {
-            let c = &inst.constraints[ci];
-            if c.vars.iter().any(|&v| assignment[v].is_some()) {
-                inst.constraint_supported(c, assignment)
-            } else {
-                true
-            }
-        });
-        if ok {
-            enumerate_rec(inst, watched, bag, domains, level + 1, assignment, emit);
-        }
+        descend_from(inst, order, steps, domains, level + 1, assignment, emit)?;
     }
     assignment[var] = None;
+    ControlFlow::Continue(())
+}
+
+/// The values of `domain` (ascending) that every step's constraint supports
+/// for its level's variable under `assignment`.
+fn candidates(
+    inst: &HomInstance<'_>,
+    steps: &[Step],
+    domain: &[Val],
+    assignment: &[Option<Val>],
+) -> Vec<Val> {
+    let mut cands: Option<Vec<Val>> = None;
+    for step in steps {
+        let c = &inst.constraints[step.ci];
+        let rel = inst.b.relation(c.sym);
+        let key: Vec<(usize, Val)> = step
+            .bound
+            .iter()
+            .map(|&p| (p, assignment[c.vars[p]].expect("bound at an earlier level")))
+            .collect();
+        let mut supported: Vec<Val> = Vec::new();
+        let mut visit = |t: &Tuple| {
+            // the same value must occur at every position of the variable
+            let first = t.get(step.at[0]);
+            if key.iter().all(|&(p, v)| t.get(p) == v) && step.at.iter().all(|&p| t.get(p) == first)
+            {
+                supported.push(first);
+            }
+        };
+        // Scan the shortest index list of a bound position, or the whole
+        // relation when nothing is bound yet.
+        match key
+            .iter()
+            .map(|&(p, v)| rel.matching(p, v))
+            .min_by_key(|rows| rows.len())
+        {
+            Some(rows) => rows.iter().for_each(&mut visit),
+            None => rel.iter().for_each(&mut visit),
+        }
+        supported.sort_unstable();
+        supported.dedup();
+        let next = match cands {
+            None => supported,
+            Some(prev) => prev
+                .into_iter()
+                .filter(|v| supported.binary_search(v).is_ok())
+                .collect(),
+        };
+        if next.is_empty() {
+            return next;
+        }
+        cands = Some(next);
+    }
+    match cands {
+        None => domain.to_vec(),
+        Some(mut cands) => {
+            cands.retain(|v| domain.binary_search(v).is_ok());
+            cands
+        }
+    }
 }
 
 #[cfg(test)]

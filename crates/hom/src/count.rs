@@ -1,19 +1,127 @@
-//! Exact homomorphism counting via tree-decomposition dynamic programming
-//! (Dalmau–Jonsson).
+//! The crate's one tree-decomposition dynamic program, and exact
+//! homomorphism counting on it (Dalmau–Jonsson).
 //!
-//! Used as an exact baseline in experiments (counting answers of
-//! quantifier-free queries reduces to counting homomorphisms) and as a ground
-//! truth in tests. Runtime `poly(‖A‖, ‖B‖) · |U(B)|^{w+1}` for pattern
-//! treewidth `w`.
+//! For each bag, in postorder, the locally consistent assignments are
+//! computed ([`crate::bag_solutions()`]) and joined with the children's
+//! tables on the shared variables. The pass is generic over the row weight:
+//! a saturating `u128` counts the extensions of each row into its subtree
+//! ([`count_homomorphisms`]), while `()` only keeps the extendable rows,
+//! which is the decision of Theorem 31 ([`crate::DecompositionDecider`]).
+//! The running time is `poly(‖A‖, ‖B‖) · |U(B)|^{w+1}` for a decomposition
+//! of width `w`.
+//!
+//! Counting is used as an exact baseline in experiments (counting answers
+//! of quantifier-free queries reduces to counting homomorphisms) and as a
+//! ground truth in tests.
 
 use crate::bag_solutions::bag_solutions;
 use crate::instance::HomInstance;
 use cqc_data::{Structure, Val};
 use cqc_hypergraph::treewidth::{treewidth_exact, treewidth_upper_bound};
+use cqc_hypergraph::TreeDecomposition;
 use std::collections::HashMap;
 
-/// Extension counts keyed by a bag assignment.
-type ExtensionTable = HashMap<Vec<Val>, u128>;
+/// Patterns with at most this many elements get an exact minimum-width
+/// decomposition; larger ones a min-fill / min-degree heuristic one.
+const EXACT_TREEWIDTH_LIMIT: usize = 13;
+
+/// A tree decomposition of the pattern hypergraph of `inst`.
+pub(crate) fn decompose(inst: &HomInstance<'_>) -> TreeDecomposition {
+    let h = inst.pattern_hypergraph();
+    if h.num_vertices() <= EXACT_TREEWIDTH_LIMIT {
+        treewidth_exact(&h).1
+    } else {
+        treewidth_upper_bound(&h).1
+    }
+}
+
+/// The weight the dynamic program attaches to a bag assignment.
+pub(crate) trait Weight: Copy {
+    /// The weight of a row with no children to join.
+    const ONE: Self;
+    /// Combine the weights of child rows with the same projection.
+    fn plus(self, other: Self) -> Self;
+    /// Combine a row's weight with a matching child group's weight.
+    fn times(self, other: Self) -> Self;
+}
+
+/// Extension counts. They saturate, so a sum is `min(u128::MAX, Σ)`
+/// whatever the order of its terms.
+impl Weight for u128 {
+    const ONE: Self = 1;
+    fn plus(self, other: Self) -> Self {
+        self.saturating_add(other)
+    }
+    fn times(self, other: Self) -> Self {
+        self.saturating_mul(other)
+    }
+}
+
+/// Existence only.
+impl Weight for () {
+    const ONE: Self = ();
+    fn plus(self, _: Self) -> Self {}
+    fn times(self, _: Self) -> Self {}
+}
+
+/// Run the dynamic program over `td`, a tree decomposition of the pattern
+/// hypergraph of `inst`. Returns the sum of the root table's weights, or
+/// `None` when there is no homomorphism (it stops at the first empty table,
+/// since an empty table empties every table above it).
+pub(crate) fn tree_dp<W: Weight>(inst: &HomInstance<'_>, td: &TreeDecomposition) -> Option<W> {
+    if inst.num_vars() == 0 {
+        return Some(W::ONE);
+    }
+    let domains = inst.initial_domains();
+    if domains.iter().any(Vec::is_empty) {
+        return None;
+    }
+    // tables[t]: bag assignments of t (bag order = sorted vertex order, rows
+    // in descent order) that extend into the subtree below t, with weights.
+    let mut tables: Vec<Vec<(Vec<Val>, W)>> = vec![Vec::new(); td.num_nodes()];
+    for t in td.postorder() {
+        let bag: Vec<usize> = td.bag(t).iter().copied().collect();
+        // Each child's table grouped by its projection onto the shared
+        // variables; the maps are only queried, never iterated.
+        let groups: Vec<_> = td
+            .children(t)
+            .iter()
+            .map(|&c| {
+                let child_bag = td.bag(c);
+                let (bag_pos, child_pos): (Vec<usize>, Vec<usize>) = bag
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, v)| child_bag.iter().position(|x| x == v).map(|j| (i, j)))
+                    .unzip();
+                let mut grouped: HashMap<Vec<Val>, W> = HashMap::new();
+                for (beta, w) in std::mem::take(&mut tables[c]) {
+                    let key = child_pos.iter().map(|&p| beta[p]).collect();
+                    grouped
+                        .entry(key)
+                        .and_modify(|acc| *acc = acc.plus(w))
+                        .or_insert(w);
+                }
+                (bag_pos, grouped)
+            })
+            .collect();
+        let table: Vec<(Vec<Val>, W)> = bag_solutions(inst, &bag, &domains)
+            .into_iter()
+            .filter_map(|alpha| {
+                let mut w = W::ONE;
+                for (bag_pos, grouped) in &groups {
+                    let key: Vec<Val> = bag_pos.iter().map(|&p| alpha[p]).collect();
+                    w = w.times(*grouped.get(&key)?);
+                }
+                Some((alpha, w))
+            })
+            .collect();
+        if table.is_empty() {
+            return None;
+        }
+        tables[t] = table;
+    }
+    tables[td.root()].iter().map(|&(_, w)| w).reduce(W::plus)
+}
 
 /// Count the homomorphisms from `A` to `B` exactly.
 ///
@@ -22,81 +130,7 @@ type ExtensionTable = HashMap<Vec<Val>, u128>;
 /// quality only affects running time).
 pub fn count_homomorphisms(a: &Structure, b: &Structure) -> u128 {
     let inst = HomInstance::new(a, b);
-    let n = inst.num_vars();
-    if n == 0 {
-        return 1;
-    }
-    let domains = inst.initial_domains();
-    if domains.iter().any(|d| d.is_empty()) {
-        return 0;
-    }
-    let h = inst.pattern_hypergraph();
-    let td = if h.num_vertices() <= 13 {
-        treewidth_exact(&h).1
-    } else {
-        treewidth_upper_bound(&h).1
-    };
-
-    let order = td.postorder();
-    // ext[t]: bag assignment (bag order = sorted vertex order) → number of
-    // extensions to the variables occurring in the subtree below t but not in
-    // the bag of t.
-    let mut ext: Vec<Option<HashMap<Vec<Val>, u128>>> = vec![None; td.num_nodes()];
-    for &t in &order {
-        let bag: Vec<usize> = td.bag(t).iter().copied().collect();
-        let local = bag_solutions(&inst, &bag, &domains);
-        let mut table: HashMap<Vec<Val>, u128> = HashMap::with_capacity(local.len());
-        // For each child, pre-group its extension counts by the projection
-        // onto the shared variables.
-        let mut child_groups: Vec<(Vec<usize>, ExtensionTable)> = Vec::new();
-        for &c in td.children(t) {
-            let child_bag: Vec<usize> = td.bag(c).iter().copied().collect();
-            let shared: Vec<usize> = bag
-                .iter()
-                .copied()
-                .filter(|v| child_bag.contains(v))
-                .collect();
-            let child_pos: Vec<usize> = shared
-                .iter()
-                .map(|v| child_bag.iter().position(|x| x == v).unwrap())
-                .collect();
-            let mut grouped: HashMap<Vec<Val>, u128> = HashMap::new();
-            // cqc-audit: allow(hash-iter) — every visit only does a commutative u128 `+=` into `grouped`; the final table is order-independent
-            for (beta, count) in ext[c].as_ref().expect("child processed") {
-                let proj: Vec<Val> = child_pos.iter().map(|&p| beta[p]).collect();
-                *grouped.entry(proj).or_insert(0) += count;
-            }
-            let bag_pos: Vec<usize> = shared
-                .iter()
-                .map(|v| bag.iter().position(|x| x == v).unwrap())
-                .collect();
-            child_groups.push((bag_pos, grouped));
-        }
-        for alpha in local {
-            let mut product: u128 = 1;
-            // cqc-audit: allow(hash-iter) — analyzer over-approximation: `child_groups` is a Vec (deterministic order); only its `grouped` members are hash maps, and they are queried, never iterated
-            for (bag_pos, grouped) in &child_groups {
-                let proj: Vec<Val> = bag_pos.iter().map(|&p| alpha[p]).collect();
-                match grouped.get(&proj) {
-                    Some(&c) => product = product.saturating_mul(c),
-                    None => {
-                        product = 0;
-                        break;
-                    }
-                }
-            }
-            if product > 0 {
-                table.insert(alpha, product);
-            }
-        }
-        ext[t] = Some(table);
-    }
-    ext[td.root()]
-        .as_ref()
-        .expect("root processed")
-        // cqc-audit: allow(hash-iter) — saturating u128 fold equals min(u128::MAX, Σ) in any order, so hash order cannot change the result
-        .values()
-        .fold(0u128, |acc, &v| acc.saturating_add(v))
+    tree_dp::<u128>(&inst, &decompose(&inst)).unwrap_or(0)
 }
 
 #[cfg(test)]

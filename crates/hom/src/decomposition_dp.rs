@@ -1,129 +1,32 @@
 //! The bounded-treewidth homomorphism algorithm (Theorem 31).
 //!
-//! Dynamic programming over a tree decomposition of the pattern structure
-//! `A`: for each bag, the locally consistent assignments are computed
-//! ([`crate::bag_solutions()`]); a bottom-up semijoin pass keeps only the
-//! assignments extendable into each subtree; a homomorphism exists iff the
-//! root retains at least one assignment. The running time is
+//! The decision runs the crate's one tree-decomposition dynamic program
+//! (`count.rs`) with existence weights: for each bag, in postorder, the
+//! locally consistent assignments ([`crate::bag_solutions()`]) are
+//! semijoined with the children's surviving assignments, and a
+//! homomorphism exists iff no table runs empty. The running time is
 //! `poly(‖A‖, ‖B‖) · |U(B)|^{w+1}` for a decomposition of width `w`, i.e.
 //! polynomial for every fixed treewidth, exactly as required by Theorem 31
 //! (Dalmau, Kolaitis, Vardi).
 
-use crate::bag_solutions::bag_solutions;
+use crate::count::{decompose, tree_dp};
 use crate::instance::HomInstance;
-use cqc_data::{Structure, Val};
-use cqc_hypergraph::treewidth::{treewidth_exact, treewidth_upper_bound};
-use cqc_hypergraph::TreeDecomposition;
-use std::collections::HashSet;
+use cqc_data::Structure;
 
-/// Configuration for the decomposition-based decider.
-#[derive(Debug, Clone)]
-pub struct DecompositionDecider {
-    /// Use the exact treewidth algorithm when the pattern has at most this
-    /// many elements (otherwise min-fill / min-degree heuristics are used).
-    pub exact_treewidth_limit: usize,
-}
-
-impl Default for DecompositionDecider {
-    fn default() -> Self {
-        DecompositionDecider {
-            exact_treewidth_limit: 13,
-        }
-    }
-}
+/// The decomposition-based decider.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DecompositionDecider;
 
 impl DecompositionDecider {
-    /// A decider with default configuration.
+    /// The decider.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Compute a tree decomposition of the pattern hypergraph of `A`.
-    pub fn decompose(&self, a: &Structure, b: &Structure) -> TreeDecomposition {
-        let inst = HomInstance::new(a, b);
-        let h = inst.pattern_hypergraph();
-        if h.num_vertices() <= self.exact_treewidth_limit {
-            treewidth_exact(&h).1
-        } else {
-            treewidth_upper_bound(&h).1
-        }
-    }
-
-    /// Decide `Hom(A, B)` using the provided tree decomposition of `A`'s
-    /// hypergraph.
-    pub fn decide_with_decomposition(
-        &self,
-        a: &Structure,
-        b: &Structure,
-        td: &TreeDecomposition,
-    ) -> bool {
-        let inst = HomInstance::new(a, b);
-        if inst.num_vars() == 0 {
-            return true;
-        }
-        let domains = inst.initial_domains();
-        if domains.iter().any(|d| d.is_empty()) {
-            return false;
-        }
-
-        let order = td.postorder();
-        // surviving[t]: bag assignments (bag vars sorted ascending) that are
-        // locally consistent and extendable into the whole subtree below t.
-        let mut surviving: Vec<Option<Vec<Vec<Val>>>> = vec![None; td.num_nodes()];
-        for &t in &order {
-            let bag: Vec<usize> = td.bag(t).iter().copied().collect();
-            let local = bag_solutions(&inst, &bag, &domains);
-            // semijoin against each child
-            let mut kept = local;
-            for &c in td.children(t) {
-                let child_bag: Vec<usize> = td.bag(c).iter().copied().collect();
-                let shared: Vec<usize> = bag
-                    .iter()
-                    .copied()
-                    .filter(|v| child_bag.contains(v))
-                    .collect();
-                let bag_pos: Vec<usize> = shared
-                    .iter()
-                    .map(|v| bag.iter().position(|x| x == v).unwrap())
-                    .collect();
-                let child_pos: Vec<usize> = shared
-                    .iter()
-                    .map(|v| child_bag.iter().position(|x| x == v).unwrap())
-                    .collect();
-                let child_proj: HashSet<Vec<Val>> = surviving[c]
-                    .as_ref()
-                    .expect("postorder: children processed first")
-                    .iter()
-                    .map(|beta| child_pos.iter().map(|&p| beta[p]).collect())
-                    .collect();
-                kept.retain(|alpha| {
-                    let proj: Vec<Val> = bag_pos.iter().map(|&p| alpha[p]).collect();
-                    child_proj.contains(&proj)
-                });
-                if kept.is_empty() {
-                    break;
-                }
-            }
-            let empty = kept.is_empty();
-            surviving[t] = Some(kept);
-            if empty {
-                // the whole instance is unsatisfiable only if this node's
-                // emptiness propagates to the root; but an empty surviving set
-                // anywhere already implies no global solution, because the
-                // root's semijoin chain will eventually consult it.
-                return false;
-            }
-        }
-        !surviving[td.root()]
-            .as_ref()
-            .expect("root processed")
-            .is_empty()
+        DecompositionDecider
     }
 
     /// Decide whether a homomorphism `A → B` exists.
     pub fn decide(&self, a: &Structure, b: &Structure) -> bool {
-        let td = self.decompose(a, b);
-        self.decide_with_decomposition(a, b, &td)
+        let inst = HomInstance::new(a, b);
+        tree_dp::<()>(&inst, &decompose(&inst)).is_some()
     }
 }
 

@@ -92,10 +92,12 @@ impl<'a> HomInstance<'a> {
             let image: Vec<Val> = c.vars.iter().map(|&var| assignment[var].unwrap()).collect();
             return self.b.holds(c.sym, &image);
         }
-        // Use the per-column index on the most selective bound position.
-        let rel = self.b.relation(c.sym);
+        // Scan only the tuples the per-column index gives for one bound
+        // position.
         let (pos0, val0) = bound[0];
-        rel.select(pos0, val0)
+        self.b
+            .relation(c.sym)
+            .matching(pos0, val0)
             .iter()
             .any(|t| bound.iter().all(|&(pos, val)| t.get(pos) == val))
     }

@@ -3,24 +3,29 @@
 //! The algorithms of the paper (Theorems 5 and 13) reduce approximate answer
 //! counting to *decision* oracles for the homomorphism problem `Hom`:
 //! given structures `A`, `B` with `sig(A) ⊆ sig(B)`, is there a homomorphism
-//! `A → B`? This crate provides those oracles:
+//! `A → B`? This crate provides those oracles, built from one search and
+//! one dynamic program:
 //!
-//! * [`BacktrackingDecider`] — a general-purpose backtracking solver with
-//!   support-based pruning and minimum-remaining-values ordering; complete for
-//!   every instance, exponential in the worst case.
-//! * [`DecompositionDecider`] — the bounded-treewidth algorithm of
-//!   Dalmau, Kolaitis and Vardi (Theorem 31 in the paper): dynamic programming
-//!   over a tree decomposition of `A`, polynomial for every fixed treewidth.
-//! * [`HybridDecider`] — picks the decomposition engine when a low-width
-//!   decomposition of `A` is found and falls back to backtracking otherwise
-//!   (the practical stand-in for Marx's adaptive-width algorithm, Theorem 36;
-//!   see `docs/ARCHITECTURE.md`, Substitutions).
-//! * [`count_homomorphisms`] — exact homomorphism counting by DP over a tree
-//!   decomposition (Dalmau–Jonsson), used as a baseline.
-//! * [`bag_solutions()`] / [`bag_partial_solutions`] — per-bag (partial)
-//!   solution relations computed by a generic-join style algorithm; the
-//!   latter implements the `Sol(ϕ, D, B_t)` computation of Lemma 48
-//!   (Grohe–Marx fractional-cover join) used by the Theorem 16 pipeline.
+//! * one descent (`bag_solutions::descend`): a generic-join style search
+//!   over a [`HomInstance`] in which every variable only tries the values
+//!   all its constraints still support. It yields
+//!   [`bag_solutions()`] / [`bag_partial_solutions`], the per-bag (partial)
+//!   solution relations; the latter is the `Sol(ϕ, D, B_t)` computation of
+//!   Lemma 48 (Grohe–Marx fractional-cover join) used by the Theorem 16
+//!   pipeline. [`BacktrackingDecider`] runs it over all of `A` in
+//!   minimum-remaining-values order and stops at the first solution;
+//!   complete for every instance, exponential in the worst case.
+//! * one tree-decomposition DP (`count.rs`), generic over the row weight:
+//!   [`count_homomorphisms`] counts homomorphisms exactly (Dalmau–Jonsson,
+//!   a baseline), and [`DecompositionDecider`] decides `Hom` with it — the
+//!   bounded-treewidth algorithm of Dalmau, Kolaitis and Vardi (Theorem 31
+//!   in the paper), polynomial for every fixed treewidth.
+//! * [`HybridDecider`] — the DP when `A` decomposes with width at most 4,
+//!   backtracking otherwise (the practical stand-in for Marx's
+//!   adaptive-width algorithm, Theorem 36; see `docs/ARCHITECTURE.md`,
+//!   Substitutions).
+//!
+//! None of the engines has options.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,9 @@
 //! The `Hom` oracle interface used by the FPTRAS pipelines.
 
-use crate::backtracking::BacktrackingDecider;
+use crate::backtracking::{first_homomorphism, BacktrackingDecider};
+use crate::count::{decompose, tree_dp};
 use crate::decomposition_dp::DecompositionDecider;
+use crate::instance::HomInstance;
 use cqc_data::Structure;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,39 +28,23 @@ pub trait HomDecider {
     fn stats(&self) -> HomStats {
         HomStats::default()
     }
-
-    /// Reset the statistics counters.
-    fn reset_stats(&self) {}
 }
 
-/// The engine selection strategy of [`HybridDecider`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Always use the tree-decomposition dynamic program (Theorem 31).
-    Decomposition,
-    /// Always use backtracking search.
-    Backtracking,
-    /// Use the decomposition DP when the pattern decomposition has width at
-    /// most the configured threshold, backtracking otherwise.
-    Auto,
-}
+/// Patterns whose tree decomposition has at most this width go to the
+/// decomposition DP; wider ones to backtracking.
+const WIDTH_THRESHOLD: isize = 4;
 
 /// A `Hom` oracle that chooses between the bounded-treewidth DP and
-/// backtracking search.
+/// backtracking search: the DP when the pattern decomposes with width at
+/// most 4, backtracking otherwise.
 ///
 /// This is the practical stand-in for the two oracles used by the paper:
 /// Theorem 31 (Dalmau–Kolaitis–Vardi, bounded treewidth) for the
 /// bounded-arity FPTRAS of Theorem 5, and Theorem 36 (Marx, bounded adaptive
 /// width) for the unbounded-arity FPTRAS of Theorem 13 — see
 /// `docs/ARCHITECTURE.md` (Substitutions) for the substitution argument.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HybridDecider {
-    /// The engine selection strategy.
-    pub choice: EngineChoice,
-    /// Width threshold for [`EngineChoice::Auto`].
-    pub width_threshold: usize,
-    decomposition: DecompositionDecider,
-    backtracking: BacktrackingDecider,
     // Atomics (not `Cell`s) so a decider shared read-only across the
     // parallel runtime's worker threads stays `Sync`; the counts are pure
     // telemetry, so `Relaxed` ordering suffices.
@@ -66,56 +52,22 @@ pub struct HybridDecider {
     positive: AtomicU64,
 }
 
-impl Default for HybridDecider {
-    fn default() -> Self {
-        HybridDecider {
-            choice: EngineChoice::Auto,
-            width_threshold: 4,
-            decomposition: DecompositionDecider::new(),
-            backtracking: BacktrackingDecider::new(),
-            calls: AtomicU64::new(0),
-            positive: AtomicU64::new(0),
-        }
-    }
-}
-
 impl HybridDecider {
-    /// A decider with the default (auto) strategy.
+    /// A decider with zeroed statistics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A decider that always uses the tree-decomposition DP.
-    pub fn decomposition_only() -> Self {
-        HybridDecider {
-            choice: EngineChoice::Decomposition,
-            ..Self::default()
-        }
-    }
-
-    /// A decider that always uses backtracking search.
-    pub fn backtracking_only() -> Self {
-        HybridDecider {
-            choice: EngineChoice::Backtracking,
-            ..Self::default()
-        }
     }
 }
 
 impl HomDecider for HybridDecider {
     fn decide(&self, a: &Structure, b: &Structure) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        let result = match self.choice {
-            EngineChoice::Decomposition => self.decomposition.decide(a, b),
-            EngineChoice::Backtracking => self.backtracking.decide(a, b),
-            EngineChoice::Auto => {
-                let td = self.decomposition.decompose(a, b);
-                if td.width() <= self.width_threshold as isize {
-                    self.decomposition.decide_with_decomposition(a, b, &td)
-                } else {
-                    self.backtracking.decide(a, b)
-                }
-            }
+        let inst = HomInstance::new(a, b);
+        let td = decompose(&inst);
+        let result = if td.width() <= WIDTH_THRESHOLD {
+            tree_dp::<()>(&inst, &td).is_some()
+        } else {
+            first_homomorphism(&inst).is_some()
         };
         if result {
             self.positive.fetch_add(1, Ordering::Relaxed);
@@ -128,11 +80,6 @@ impl HomDecider for HybridDecider {
             calls: self.calls.load(Ordering::Relaxed),
             positive: self.positive.load(Ordering::Relaxed),
         }
-    }
-
-    fn reset_stats(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.positive.store(0, Ordering::Relaxed);
     }
 }
 
@@ -164,12 +111,12 @@ mod tests {
 
     #[test]
     fn all_engines_agree() {
-        let engines: Vec<HybridDecider> = vec![
-            HybridDecider::new(),
-            HybridDecider::decomposition_only(),
-            HybridDecider::backtracking_only(),
+        let engines: Vec<Box<dyn HomDecider>> = vec![
+            Box::new(HybridDecider::new()),
+            Box::new(DecompositionDecider::new()),
+            Box::new(BacktrackingDecider::new()),
         ];
-        for (pk, tk) in [(3usize, 6usize), (4, 4), (5, 4), (6, 3), (4, 8)] {
+        for (pk, tk) in [(3usize, 6usize), (4, 4), (5, 4), (6, 3), (4, 8), (9, 3)] {
             let a = cycle_graph(pk);
             let b = cycle_graph(tk);
             let answers: Vec<bool> = engines.iter().map(|e| e.decide(&a, &b)).collect();
@@ -193,22 +140,5 @@ mod tests {
         let s = e.stats();
         assert_eq!(s.calls, 2);
         assert_eq!(s.positive, 1);
-        e.reset_stats();
-        assert_eq!(e.stats().calls, 0);
-    }
-
-    #[test]
-    fn trait_objects_work() {
-        let engines: Vec<Box<dyn HomDecider>> = vec![
-            Box::new(HybridDecider::new()),
-            Box::new(BacktrackingDecider::new()),
-            Box::new(DecompositionDecider::new()),
-        ];
-        // a directed C9 maps onto a directed C3 (wrap three times)
-        let a = cycle_graph(9);
-        let b = cycle_graph(3);
-        for e in &engines {
-            assert!(e.decide(&a, &b));
-        }
     }
 }

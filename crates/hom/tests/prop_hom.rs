@@ -99,8 +99,6 @@ proptest! {
         prop_assert_eq!(BacktrackingDecider::new().decide(&a, &b), truth);
         prop_assert_eq!(DecompositionDecider::new().decide(&a, &b), truth);
         prop_assert_eq!(HybridDecider::new().decide(&a, &b), truth);
-        prop_assert_eq!(HybridDecider::decomposition_only().decide(&a, &b), truth);
-        prop_assert_eq!(HybridDecider::backtracking_only().decide(&a, &b), truth);
     }
 
     /// The exact homomorphism counter (Dalmau–Jonsson-style DP) agrees with
