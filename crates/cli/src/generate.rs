@@ -179,8 +179,8 @@ mod tests {
         let e = db.signature().symbol("E").unwrap();
         let rel = db.relation(e);
         for t in rel.iter() {
-            let rev = [t.get(1), t.get(0)];
-            assert!(rel.contains_values(&rev), "missing reverse of {:?}", t);
+            let rev = [t[1], t[0]];
+            assert!(rel.contains(&rev), "missing reverse of {:?}", t);
         }
     }
 

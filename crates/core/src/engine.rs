@@ -536,6 +536,17 @@ mod tests {
     }
 
     #[test]
+    fn negated_atom_over_the_empty_universe_counts_exactly_zero() {
+        // The complement of a relation over an empty universe is empty, so
+        // B(ϕ, D) is buildable and the ECQ has no answer.
+        let q = parse_query("ans(x, y) :- E(x, y), !E(y, x)").unwrap();
+        let prepared = Engine::new().prepare(&q).unwrap();
+        let report = prepared.count(&graph(0, &[])).unwrap();
+        assert_eq!(report.estimate, 0.0);
+        assert!(report.exact);
+    }
+
+    #[test]
     fn count_batch_equals_individual_counts() {
         let engine = Engine::builder()
             .accuracy(0.3, 0.1)

@@ -20,7 +20,9 @@
 use cqc_data::{Structure, Val};
 use cqc_dlm::EdgeFreeOracle;
 use cqc_hom::HomDecider;
-use cqc_query::colored::{build_a_hat, build_b_hat, ColouringFamily, PartiteSets};
+use cqc_query::colored::{
+    build_a_hat, build_b_hat, build_b_hat_relaxed, ColouringFamily, PartiteSets,
+};
 use cqc_query::Query;
 use cqc_runtime::{split_seed, Runtime};
 use rand::rngs::StdRng;
@@ -197,19 +199,7 @@ impl<'a, H: HomDecider> AnswerOracle<'a, H> {
                 |_, _| true,
             ))
         });
-        let (mut b_hat, decode) = build_b_hat(self.query, &self.b_structure, parts, colouring);
-        // make every element carry *both* colours
-        for d in 0..self.query.disequalities().len() {
-            let blue = b_hat
-                .signature()
-                .symbol(&format!("Bd{d}"))
-                .expect("colour relation present");
-            for id in 0..decode.len() {
-                b_hat
-                    .insert_fact(blue, &[Val(id as u32)])
-                    .expect("in range");
-            }
-        }
+        let (b_hat, _) = build_b_hat_relaxed(self.query, &self.b_structure, parts, colouring);
         self.hom_calls += 1;
         self.decider.decide(&self.a_hat, &b_hat)
     }

@@ -68,7 +68,9 @@ impl std::error::Error for FactsError {}
 pub fn parse_facts(text: &str) -> Result<Structure, FactsError> {
     let mut universe: Option<usize> = None;
     let mut declarations: Vec<(String, usize)> = Vec::new();
-    let mut facts: Vec<(usize, String, Vec<u32>)> = Vec::new();
+    // (line, relation, range of its values in `fact_values`)
+    let mut facts: Vec<(usize, &str, std::ops::Range<usize>)> = Vec::new();
+    let mut fact_values: Vec<u32> = Vec::new();
     let mut names: Vec<(usize, u32, String)> = Vec::new();
 
     for (i, raw_line) in text.lines().enumerate() {
@@ -119,15 +121,15 @@ pub fn parse_facts(text: &str) -> Result<Structure, FactsError> {
                 names.push((line_no, idx, tokens[2..].join(" ")));
             }
             name => {
-                let mut values = Vec::with_capacity(tokens.len() - 1);
+                let start = fact_values.len();
                 for t in &tokens[1..] {
                     let v: u32 = t.parse().map_err(|_| FactsError::Syntax {
                         line: line_no,
                         message: format!("`{t}` is not a valid universe element"),
                     })?;
-                    values.push(v);
+                    fact_values.push(v);
                 }
-                facts.push((line_no, name.to_string(), values));
+                facts.push((line_no, name, start..fact_values.len()));
             }
         }
     }
@@ -143,22 +145,19 @@ pub fn parse_facts(text: &str) -> Result<Structure, FactsError> {
         }
         builder.relation(name, *arity);
     }
-    for (line, name, values) in &facts {
+    for (line, name, values) in facts {
         // `StructureBuilder::fact` would auto-declare unknown relations; in a
         // file format that silently turns typos into new relations, so reject
         // facts over undeclared symbols instead.
         if !declarations.iter().any(|(n, _)| n == name) {
             return Err(FactsError::Data {
-                line: *line,
-                source: DataError::UnknownSymbol(name.clone()),
+                line,
+                source: DataError::UnknownSymbol(name.to_string()),
             });
         }
         builder
-            .fact(name, values)
-            .map_err(|source| FactsError::Data {
-                line: *line,
-                source,
-            })?;
+            .fact(name, &fact_values[values])
+            .map_err(|source| FactsError::Data { line, source })?;
     }
     let mut structure = builder.build();
     if !names.is_empty() {
@@ -200,9 +199,9 @@ pub fn write_facts(db: &Structure) -> String {
         out.push_str(&format!("relation {name} {arity}\n"));
     }
     for (id, name, _) in &symbols {
-        for tuple in db.relation(*id).iter() {
+        for row in db.relation(*id).iter() {
             out.push_str(name);
-            for v in tuple.values() {
+            for v in row {
                 out.push_str(&format!(" {}", v.0));
             }
             out.push('\n');
@@ -214,7 +213,7 @@ pub fn write_facts(db: &Structure) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Val;
+    use crate::val::Val;
 
     const EXAMPLE: &str = "\
 # the paper's running example

@@ -1,7 +1,6 @@
 //! Relational structures (databases).
 
-use crate::{DataError, Relation, Result, Signature, SymbolId, Tuple, Val};
-use std::collections::BTreeMap;
+use crate::{DataError, Relation, Result, Signature, SymbolId, Val};
 use std::fmt;
 
 /// A relational structure `A` (equivalently, a database `D`):
@@ -26,19 +25,39 @@ pub struct Structure {
 pub type Database = Structure;
 
 impl Structure {
-    /// Create a structure with the given signature and universe size, with
-    /// every relation empty.
-    pub fn empty(signature: Signature, universe_size: usize) -> Self {
-        let relations = signature
-            .iter()
-            .map(|(_, _, ar)| Relation::new(ar))
-            .collect();
-        Structure {
+    /// Assemble a structure from one relation per symbol of `signature`, in
+    /// symbol order, checking each relation's arity and that every value
+    /// lies in the universe `{0, .., universe_size-1}`.
+    ///
+    /// # Panics
+    /// Panics if the number of relations differs from `|signature|`.
+    pub fn new(
+        signature: Signature,
+        universe_size: usize,
+        relations: Vec<Relation>,
+    ) -> Result<Self> {
+        assert_eq!(relations.len(), signature.len(), "one relation per symbol");
+        for ((_, name, ar), rel) in signature.iter().zip(&relations) {
+            if rel.arity() != ar {
+                return Err(DataError::ArityMismatch {
+                    symbol: name.to_string(),
+                    expected: ar,
+                    got: rel.arity(),
+                });
+            }
+            if let Some(v) = rel.iter().flatten().find(|v| v.index() >= universe_size) {
+                return Err(DataError::ValueOutOfRange {
+                    value: v.0,
+                    universe: universe_size,
+                });
+            }
+        }
+        Ok(Structure {
             signature,
             universe_size,
             relations,
             element_names: None,
-        }
+        })
     }
 
     /// The signature `sig(A)`.
@@ -64,12 +83,6 @@ impl Structure {
         &self.relations[sym.index()]
     }
 
-    /// Mutable access to `R^A`.
-    #[inline]
-    pub fn relation_mut(&mut self, sym: SymbolId) -> &mut Relation {
-        &mut self.relations[sym.index()]
-    }
-
     /// Attach human-readable element names (display only).
     pub fn set_element_names(&mut self, names: Vec<String>) {
         assert_eq!(names.len(), self.universe_size);
@@ -84,36 +97,9 @@ impl Structure {
         }
     }
 
-    /// Insert a fact, validating arity and range.
-    pub fn insert_fact(&mut self, sym: SymbolId, values: &[Val]) -> Result<bool> {
-        let ar = self.signature.arity(sym);
-        if values.len() != ar {
-            return Err(DataError::ArityMismatch {
-                symbol: self.signature.name(sym).to_string(),
-                expected: ar,
-                got: values.len(),
-            });
-        }
-        for v in values {
-            if v.index() >= self.universe_size {
-                return Err(DataError::ValueOutOfRange {
-                    value: v.0,
-                    universe: self.universe_size,
-                });
-            }
-        }
-        Ok(self.relations[sym.index()].insert(Tuple::new(values)))
-    }
-
-    /// Insert a fact given raw `u32` values.
-    pub fn insert_fact_raw(&mut self, sym: SymbolId, values: &[u32]) -> Result<bool> {
-        let vals: Vec<Val> = values.iter().map(|&v| Val(v)).collect();
-        self.insert_fact(sym, &vals)
-    }
-
     /// Test whether a fact holds.
     pub fn holds(&self, sym: SymbolId, values: &[Val]) -> bool {
-        self.relations[sym.index()].contains_values(values)
+        self.relations[sym.index()].contains(values)
     }
 
     /// The number of facts over all relations.
@@ -131,44 +117,6 @@ impl Structure {
                 .iter()
                 .map(Relation::encoding_size)
                 .sum::<usize>()
-    }
-
-    /// Extend this structure's signature with additional (empty) relations,
-    /// returning the new symbol ids in order. Existing symbol ids remain
-    /// valid.
-    pub fn extend_signature(&mut self, extra: &[(&str, usize)]) -> Result<Vec<SymbolId>> {
-        let mut ids = Vec::with_capacity(extra.len());
-        for (name, ar) in extra {
-            let before = self.signature.len();
-            let id = self.signature.declare(name, *ar)?;
-            if id.index() == before {
-                // freshly declared: add an empty relation for it
-                self.relations.push(Relation::new(*ar));
-            }
-            ids.push(id);
-        }
-        Ok(ids)
-    }
-
-    /// Add, for every universe element `v`, a fresh singleton unary relation
-    /// `Const_v = {v}` and return the mapping `v → SymbolId`.
-    ///
-    /// The paper (Section 1.1) notes that singleton unary relations implement
-    /// *constants* in queries; this is the device used by the self-reducible
-    /// answer sampler of Section 6.
-    /// The mapping is a sorted `BTreeMap` so that callers may iterate it
-    /// without tying the iteration order (and hence anything downstream,
-    /// such as sampler branching) to hash state (cqc-audit `hash-iter`).
-    pub fn add_constant_relations(&mut self) -> Result<BTreeMap<Val, SymbolId>> {
-        let mut map = BTreeMap::new();
-        for v in 0..self.universe_size as u32 {
-            let name = format!("@const_{v}");
-            let ids = self.extend_signature(&[(&name, 1)])?;
-            let id = ids[0];
-            self.insert_fact(id, &[Val(v)])?;
-            map.insert(Val(v), id);
-        }
-        Ok(map)
     }
 
     /// Whether `sig(self) ⊆ sig(other)` in the sense required for
@@ -198,7 +146,10 @@ impl fmt::Display for Structure {
     }
 }
 
-/// A convenient, validated builder for structures.
+/// The validated way to assemble a structure fact by fact.
+///
+/// Facts are checked (arity and range) as they are added and buffered per
+/// relation; [`StructureBuilder::build`] then builds each [`Relation`] once.
 ///
 /// ```
 /// use cqc_data::StructureBuilder;
@@ -214,25 +165,31 @@ impl fmt::Display for Structure {
 pub struct StructureBuilder {
     signature: Signature,
     universe_size: usize,
-    pending: Vec<(SymbolId, Vec<Val>)>,
+    /// Row-major values per symbol, in symbol order.
+    rows: Vec<Vec<Val>>,
     element_names: Option<Vec<String>>,
 }
 
 impl StructureBuilder {
     /// Start building a structure over a universe of the given size.
     pub fn new(universe_size: usize) -> Self {
+        Self::with_signature(Signature::new(), universe_size)
+    }
+
+    /// Start building a structure over a universe of the given size with
+    /// every symbol of `signature` already declared.
+    pub fn with_signature(signature: Signature, universe_size: usize) -> Self {
         StructureBuilder {
-            signature: Signature::new(),
+            rows: vec![Vec::new(); signature.len()],
+            signature,
             universe_size,
-            pending: Vec::new(),
             element_names: None,
         }
     }
 
     /// Declare a relation symbol (idempotent), returning its id.
     pub fn relation(&mut self, name: &str, arity: usize) -> SymbolId {
-        self.signature
-            .declare(name, arity)
+        self.declare(name, arity)
             .expect("conflicting relation declaration")
     }
 
@@ -243,27 +200,14 @@ impl StructureBuilder {
     pub fn fact(&mut self, name: &str, values: &[u32]) -> Result<&mut Self> {
         let sym = match self.signature.symbol(name) {
             Some(s) => s,
-            None => self.signature.declare(name, values.len())?,
+            None => self.declare(name, values.len())?,
         };
-        let ar = self.signature.arity(sym);
-        if ar != values.len() {
-            return Err(DataError::ArityMismatch {
-                symbol: name.to_string(),
-                expected: ar,
-                got: values.len(),
-            });
-        }
-        for &v in values {
-            if (v as usize) >= self.universe_size {
-                return Err(DataError::ValueOutOfRange {
-                    value: v,
-                    universe: self.universe_size,
-                });
-            }
-        }
-        self.pending
-            .push((sym, values.iter().map(|&v| Val(v)).collect()));
-        Ok(self)
+        self.push(sym, values.iter().map(|&v| Val(v)))
+    }
+
+    /// Add a fact for a declared symbol, validating arity and range.
+    pub fn row(&mut self, sym: SymbolId, values: &[Val]) -> Result<&mut Self> {
+        self.push(sym, values.iter().copied())
     }
 
     /// Attach element names (display only).
@@ -273,16 +217,51 @@ impl StructureBuilder {
         self
     }
 
-    /// Finish building.
+    /// Finish building: each relation is sorted and indexed once.
     pub fn build(self) -> Structure {
-        let mut s = Structure::empty(self.signature, self.universe_size);
-        for (sym, vals) in self.pending {
-            s.insert_fact(sym, &vals).expect("validated at insertion");
+        let relations = self
+            .signature
+            .iter()
+            .zip(self.rows)
+            .map(|((_, _, ar), rows)| Relation::new(ar, rows))
+            .collect();
+        Structure {
+            signature: self.signature,
+            universe_size: self.universe_size,
+            relations,
+            element_names: self.element_names,
         }
-        if let Some(names) = self.element_names {
-            s.set_element_names(names);
+    }
+
+    fn declare(&mut self, name: &str, arity: usize) -> Result<SymbolId> {
+        let sym = self.signature.declare(name, arity)?;
+        if sym.index() == self.rows.len() {
+            self.rows.push(Vec::new());
         }
-        s
+        Ok(sym)
+    }
+
+    fn push(
+        &mut self,
+        sym: SymbolId,
+        values: impl ExactSizeIterator<Item = Val> + Clone,
+    ) -> Result<&mut Self> {
+        let ar = self.signature.arity(sym);
+        if values.len() != ar {
+            return Err(DataError::ArityMismatch {
+                symbol: self.signature.name(sym).to_string(),
+                expected: ar,
+                got: values.len(),
+            });
+        }
+        if let Some(v) = values.clone().find(|v| v.index() >= self.universe_size) {
+            return Err(DataError::ValueOutOfRange {
+                value: v.0,
+                universe: self.universe_size,
+            });
+        }
+        self.rows[sym.index()].extend(values);
+        Ok(self)
     }
 }
 
@@ -317,19 +296,40 @@ mod tests {
     }
 
     #[test]
-    fn insert_fact_validation() {
-        let mut db = graph_db(3, &[]);
-        let e = db.signature().symbol("E").unwrap();
+    fn new_validates_arity_and_range() {
+        let mut sig = Signature::new();
+        sig.declare("E", 2).unwrap();
+        let edge = |u: u32, v: u32| Relation::new(2, vec![Val(u), Val(v)]);
         assert!(matches!(
-            db.insert_fact(e, &[Val(0)]).unwrap_err(),
+            Structure::new(sig.clone(), 3, vec![Relation::new(1, vec![Val(0)])]).unwrap_err(),
             DataError::ArityMismatch { .. }
         ));
         assert!(matches!(
-            db.insert_fact(e, &[Val(0), Val(7)]).unwrap_err(),
+            Structure::new(sig.clone(), 3, vec![edge(0, 7)]).unwrap_err(),
+            DataError::ValueOutOfRange { value: 7, .. }
+        ));
+        let db = Structure::new(sig, 3, vec![edge(0, 2)]).unwrap();
+        assert_eq!(db, graph_db(3, &[(0, 2)]));
+    }
+
+    #[test]
+    fn builder_rows_by_symbol_id() {
+        let mut b = StructureBuilder::new(3);
+        let e = b.relation("E", 2);
+        assert!(matches!(
+            b.row(e, &[Val(0)]).unwrap_err(),
+            DataError::ArityMismatch { .. }
+        ));
+        assert!(matches!(
+            b.row(e, &[Val(0), Val(7)]).unwrap_err(),
             DataError::ValueOutOfRange { .. }
         ));
-        assert!(db.insert_fact(e, &[Val(0), Val(2)]).unwrap());
-        assert!(!db.insert_fact(e, &[Val(0), Val(2)]).unwrap());
+        b.row(e, &[Val(1), Val(2)]).unwrap();
+        b.row(e, &[Val(0), Val(2)]).unwrap();
+        b.row(e, &[Val(1), Val(2)]).unwrap();
+        let db = b.build();
+        let rows: Vec<&[Val]> = db.relation(e).iter().collect();
+        assert_eq!(rows, [[Val(0), Val(2)], [Val(1), Val(2)]]);
     }
 
     #[test]
@@ -352,46 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_signature_keeps_existing_ids() {
-        let mut db = graph_db(3, &[(0, 1)]);
-        let e = db.signature().symbol("E").unwrap();
-        let ids = db.extend_signature(&[("E_neg", 2), ("P", 1)]).unwrap();
-        assert_eq!(ids.len(), 2);
-        assert_eq!(db.signature().symbol("E"), Some(e));
-        assert!(db.relation(ids[0]).is_empty());
-        // extending with an existing symbol is idempotent
-        let again = db.extend_signature(&[("P", 1)]).unwrap();
-        assert_eq!(again[0], ids[1]);
-    }
-
-    #[test]
-    fn constant_relations() {
-        let mut db = graph_db(3, &[(0, 1)]);
-        let consts = db.add_constant_relations().unwrap();
-        assert_eq!(consts.len(), 3);
-        for (v, sym) in &consts {
-            assert_eq!(db.relation(*sym).len(), 1);
-            assert!(db.holds(*sym, &[*v]));
-        }
-    }
-
-    #[test]
-    fn constant_relations_iterate_in_value_order() {
-        // Regression for the cqc-audit `hash-iter` conversion: the map is
-        // sorted, so callers (the sampler's constant machinery) may iterate
-        // it without picking up hash state.
-        let mut db = graph_db(5, &[(0, 1)]);
-        let consts = db.add_constant_relations().unwrap();
-        let keys: Vec<Val> = consts.keys().copied().collect();
-        assert_eq!(keys, (0..5).map(Val).collect::<Vec<_>>());
-        // ids were assigned in the same ascending pass
-        let ids: Vec<_> = consts.values().map(|s| s.index()).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
-    }
-
-    #[test]
     fn element_names_display() {
         let mut b = StructureBuilder::new(2);
         b.relation("E", 2);
@@ -406,8 +366,10 @@ mod tests {
     #[test]
     fn signature_containment_between_structures() {
         let db = graph_db(3, &[(0, 1)]);
-        let mut bigger = graph_db(5, &[(0, 1)]);
-        bigger.extend_signature(&[("F", 2)]).unwrap();
+        let mut b = StructureBuilder::new(5);
+        b.relation("E", 2);
+        b.relation("F", 2);
+        let bigger = b.build();
         assert!(db.signature_contained_in(&bigger));
         assert!(!bigger.signature_contained_in(&db));
     }

@@ -1,8 +1,8 @@
 //! Property-based tests for the relational substrate: builder round trips,
-//! the size measure ‖D‖ of Section 1.1, relation indices and complements, and
-//! the singleton "constant" relations discussed below the problem definition.
+//! the size measure ‖D‖ of Section 1.1, and the immutable relation (sorted
+//! rows, column index, complement) checked against a naive set model.
 
-use cqc_data::{Relation, Signature, Structure, StructureBuilder, Tuple, Val};
+use cqc_data::{Relation, Signature, Structure, StructureBuilder, Val};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -76,19 +76,6 @@ proptest! {
         prop_assert_eq!(db.size(), expected);
     }
 
-    /// Inserting a duplicate fact is a no-op and reports `false`.
-    #[test]
-    fn duplicate_insert_is_noop(raw in raw_db()) {
-        prop_assume!(!raw.binary_facts.is_empty());
-        let mut db = build(&raw);
-        let e = db.signature().symbol("E").unwrap();
-        let before = db.relation(e).len();
-        let (u, v) = raw.binary_facts[0];
-        let inserted = db.insert_fact(e, &[Val(u), Val(v)]).unwrap();
-        prop_assert!(!inserted);
-        prop_assert_eq!(db.relation(e).len(), before);
-    }
-
     /// The per-column index (`matching`) agrees with a linear scan.
     #[test]
     fn relation_select_matches_scan(raw in raw_db(), pos in 0usize..2, value in 0u32..8) {
@@ -98,13 +85,12 @@ proptest! {
         prop_assume!((value as usize) < raw.universe);
         let selected: BTreeSet<Vec<Val>> = rel
             .matching(pos, Val(value))
-            .iter()
-            .map(|t| t.values().to_vec())
+            .map(<[Val]>::to_vec)
             .collect();
         let scanned: BTreeSet<Vec<Val>> = rel
             .iter()
-            .filter(|t| t.get(pos) == Val(value))
-            .map(|t| t.values().to_vec())
+            .filter(|t| t[pos] == Val(value))
+            .map(<[Val]>::to_vec)
             .collect();
         prop_assert_eq!(selected, scanned);
     }
@@ -125,36 +111,6 @@ proptest! {
         for t in comp.iter() {
             prop_assert!(!rel.contains(t));
         }
-    }
-
-    /// Adding all singleton "constant" relations (the R_v of Section 1.1)
-    /// adds exactly one unary singleton per universe element.
-    #[test]
-    fn constant_relations_are_singletons(raw in raw_db()) {
-        let mut db = build(&raw);
-        let sig_before = db.signature().len();
-        let map = db.add_constant_relations().unwrap();
-        prop_assert_eq!(map.len(), raw.universe);
-        prop_assert_eq!(db.signature().len(), sig_before + raw.universe);
-        for (v, sym) in &map {
-            let rel = db.relation(*sym);
-            prop_assert_eq!(rel.len(), 1);
-            prop_assert!(rel.contains_values(&[*v]));
-        }
-    }
-
-    /// The active domain of a relation is exactly the set of values that
-    /// appear in some tuple.
-    #[test]
-    fn active_domain_is_union_of_tuples(raw in raw_db()) {
-        let db = build(&raw);
-        let e = db.signature().symbol("E").unwrap();
-        let rel = db.relation(e);
-        let expected: BTreeSet<Val> = rel
-            .iter()
-            .flat_map(|t| t.values().iter().copied())
-            .collect();
-        prop_assert_eq!(rel.active_domain(), expected);
     }
 }
 
@@ -204,27 +160,81 @@ proptest! {
         prop_assert!(bigger.len() >= sig.len());
     }
 
-    /// Tuples preserve their values and arity.
+    /// `Relation::new` keeps each distinct row once, however often it is
+    /// given.
     #[test]
-    fn tuple_round_trip(values in proptest::collection::vec(0u32..100, 1..5)) {
-        let vals: Vec<Val> = values.iter().map(|&v| Val(v)).collect();
-        let t = Tuple::new(&vals);
-        prop_assert_eq!(t.arity(), vals.len());
-        prop_assert_eq!(t.values(), &vals[..]);
-        let t2 = Tuple::from_raw(&values);
-        prop_assert_eq!(t, t2);
-    }
-
-    /// `Relation::insert` reports whether the tuple is new, and `len`
-    /// counts distinct tuples only.
-    #[test]
-    fn relation_insert_dedups(tuples in proptest::collection::vec((0u32..5, 0u32..5), 0..25)) {
-        let mut rel = Relation::new(2);
-        let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for &(u, v) in &tuples {
-            let fresh = rel.insert(Tuple::new(&[Val(u), Val(v)]));
-            prop_assert_eq!(fresh, seen.insert((u, v)));
-        }
+    fn relation_new_dedups(tuples in proptest::collection::vec((0u32..5, 0u32..5), 0..25)) {
+        let values = tuples.iter().flat_map(|&(u, v)| [Val(u), Val(v)]).collect();
+        let rel = Relation::new(2, values);
+        let seen: BTreeSet<(u32, u32)> = tuples.iter().copied().collect();
         prop_assert_eq!(rel.len(), seen.len());
+    }
+}
+
+/// Rows of arity 1–3 over a universe of 0–5 elements, duplicates likely.
+fn raw_relation() -> impl Strategy<Value = (usize, usize, Vec<Vec<u32>>)> {
+    (1usize..4, 0usize..6).prop_flat_map(|(arity, universe)| {
+        // an empty universe admits no row at all
+        let rows = if universe == 0 { 0..1 } else { 0..30 };
+        let row = proptest::collection::vec(0..universe.max(1) as u32, arity);
+        proptest::collection::vec(row, rows).prop_map(move |rows| (arity, universe, rows))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The immutable relation behaves exactly like a `BTreeSet` of rows:
+    /// iteration order, `len`, `contains`, `matching` at every position and
+    /// value, and `complement`.
+    #[test]
+    fn relation_matches_a_btreeset_model(raw in raw_relation()) {
+        let (arity, universe, rows) = raw;
+        let model: BTreeSet<Vec<Val>> = rows
+            .iter()
+            .map(|r| r.iter().map(|&v| Val(v)).collect())
+            .collect();
+        let rel = Relation::new(arity, rows.iter().flatten().map(|&v| Val(v)).collect());
+        prop_assert_eq!(rel.arity(), arity);
+        prop_assert_eq!(rel.len(), model.len());
+        prop_assert_eq!(rel.is_empty(), model.is_empty());
+        prop_assert_eq!(rel.encoding_size(), model.len() * arity);
+        let listed: Vec<Vec<Val>> = rel.iter().map(<[Val]>::to_vec).collect();
+        prop_assert_eq!(&listed, &model.iter().cloned().collect::<Vec<_>>());
+
+        // every row of U^arity (and one of the wrong length) against `contains`
+        let space: Vec<Vec<Val>> = (0..universe.pow(arity as u32))
+            .map(|mut code| {
+                let mut row = vec![Val(0); arity];
+                for slot in row.iter_mut().rev() {
+                    *slot = Val((code % universe) as u32);
+                    code /= universe;
+                }
+                row
+            })
+            .collect();
+        for row in &space {
+            prop_assert_eq!(rel.contains(row), model.contains(row));
+        }
+        if let Some(row) = model.iter().next() {
+            prop_assert!(!rel.contains(&row[1..]));
+        }
+
+        for pos in 0..arity {
+            for v in 0..=universe as u32 {
+                let matched: Vec<Vec<Val>> =
+                    rel.matching(pos, Val(v)).map(<[Val]>::to_vec).collect();
+                let expected: Vec<Vec<Val>> =
+                    model.iter().filter(|r| r[pos] == Val(v)).cloned().collect();
+                prop_assert_eq!(rel.matching(pos, Val(v)).len(), expected.len());
+                prop_assert_eq!(matched, expected);
+            }
+        }
+
+        let complement: Vec<Vec<Val>> =
+            rel.complement(universe).iter().map(<[Val]>::to_vec).collect();
+        let expected: Vec<Vec<Val>> =
+            space.into_iter().filter(|r| !model.contains(r)).collect();
+        prop_assert_eq!(complement, expected);
     }
 }

@@ -12,10 +12,8 @@
 //! `docs/ARCHITECTURE.md`, Substitutions) but lives in exactly the same
 //! access model:
 //!
-//! * [`EdgeFreeOracle`] — the oracle interface (class-aligned ℓ-partite
-//!   queries), plus [`PermutationOracle`] which lifts a class-aligned oracle
-//!   to arbitrary ℓ-partite vertex subsets via the `ℓ!`-permutation argument
-//!   of Lemma 22.
+//! * [`EdgeFreeOracle`] — the oracle interface: class-aligned ℓ-partite
+//!   queries, the only kind the counter and sampler below issue.
 //! * [`exact_edge_count`] — exact counting by recursive halving, using
 //!   `O(|E| · ℓ · log N)` oracle calls; used below a threshold and on its own
 //!   for ground truth.
@@ -40,5 +38,5 @@ pub mod sampler;
 pub use approx::{approx_edge_count, ApproxCountResult, ApproxMethod, DlmConfig};
 pub use exact::{exact_edge_count, exact_edge_count_with_budget};
 pub use explicit::ExplicitHypergraph;
-pub use oracle::{CountingOracle, EdgeFreeOracle, PermutationOracle};
+pub use oracle::{CountingOracle, EdgeFreeOracle};
 pub use sampler::sample_edge;

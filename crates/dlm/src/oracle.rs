@@ -8,10 +8,11 @@ use std::collections::BTreeSet;
 ///
 /// The only access to the hyperedge set is [`EdgeFreeOracle::edge_free`]:
 /// given per-class subsets `V_i ⊆ U_i`, report whether `H[V₀, …, V_{ℓ−1}]`
-/// has **no** hyperedge. This mirrors the access model of Theorem 17; the
-/// restriction to *class-aligned* subsets is the "most important case"
-/// identified in the proof of Lemma 22, and [`PermutationOracle`] recovers
-/// the fully general ℓ-partite queries from it.
+/// has **no** hyperedge. This mirrors the access model of Theorem 17,
+/// restricted to *class-aligned* subsets: the "most important case"
+/// identified in the proof of Lemma 22, and the only queries the edge
+/// counter issues (the proof recovers general ℓ-partite queries from them
+/// with `ℓ!` class-aligned calls, which the counter never needs).
 pub trait EdgeFreeOracle {
     /// The number of vertex classes `ℓ`.
     fn num_classes(&self) -> usize;
@@ -78,85 +79,6 @@ impl<O: EdgeFreeOracle + ?Sized> EdgeFreeOracle for &mut O {
     }
 }
 
-/// A vertex of the union `⋃_i U_i`, identified by its class and its index
-/// within the class.
-pub type UnionVertex = (usize, usize);
-
-/// Lifts a class-aligned [`EdgeFreeOracle`] to queries over **arbitrary**
-/// ℓ-partite subsets `(W₁, …, W_ℓ)` of the union vertex set, exactly as in
-/// the proof of Lemma 22: since every hyperedge contains one vertex from each
-/// class, `H[W₁..W_ℓ]` has an edge iff for some permutation `π` of the
-/// classes, `H[V₁..V_ℓ]` has an edge where `V_i = W_{π(i)} ∩ U_i`. The lifted
-/// query therefore costs at most `ℓ!` class-aligned queries.
-pub struct PermutationOracle<O> {
-    inner: O,
-}
-
-impl<O: EdgeFreeOracle> PermutationOracle<O> {
-    /// Wrap a class-aligned oracle.
-    pub fn new(inner: O) -> Self {
-        PermutationOracle { inner }
-    }
-
-    /// Access the wrapped oracle.
-    pub fn inner_mut(&mut self) -> &mut O {
-        &mut self.inner
-    }
-
-    /// Does `H[W₁, …, W_ℓ]` (arbitrary disjoint union-vertex subsets) contain
-    /// no hyperedge?
-    pub fn edge_free_general(&mut self, w: &[BTreeSet<UnionVertex>]) -> bool {
-        let ell = self.inner.num_classes();
-        assert_eq!(w.len(), ell);
-        if ell == 0 {
-            // A 0-uniform hypergraph has at most the empty edge; by convention
-            // the restricted oracle decides it directly.
-            return self.inner.edge_free(&[]);
-        }
-        // Enumerate permutations π of the classes (Heap's algorithm).
-        let mut perm: Vec<usize> = (0..ell).collect();
-        let mut c = vec![0usize; ell];
-        if !self.restricted_query(w, &perm) {
-            return false;
-        }
-        let mut i = 0;
-        while i < ell {
-            if c[i] < i {
-                if i % 2 == 0 {
-                    perm.swap(0, i);
-                } else {
-                    perm.swap(c[i], i);
-                }
-                if !self.restricted_query(w, &perm) {
-                    return false;
-                }
-                c[i] += 1;
-                i = 0;
-            } else {
-                c[i] = 0;
-                i += 1;
-            }
-        }
-        true
-    }
-
-    /// One restricted query: `V_i = W_{π(i)} ∩ U_i`. Returns the oracle's
-    /// edge-freeness verdict.
-    fn restricted_query(&mut self, w: &[BTreeSet<UnionVertex>], perm: &[usize]) -> bool {
-        let ell = self.inner.num_classes();
-        let parts: Vec<BTreeSet<usize>> = (0..ell)
-            .map(|i| {
-                w[perm[i]]
-                    .iter()
-                    .filter(|&&(class, _)| class == i)
-                    .map(|&(_, v)| v)
-                    .collect()
-            })
-            .collect();
-        self.inner.edge_free(&parts)
-    }
-}
-
 /// Convenience: the full per-class subsets (no restriction).
 pub fn full_parts<O: EdgeFreeOracle>(oracle: &O) -> Vec<BTreeSet<usize>> {
     (0..oracle.num_classes())
@@ -179,37 +101,5 @@ mod tests {
         assert_eq!(o.calls(), 2);
         assert_eq!(o.num_classes(), 2);
         assert_eq!(o.class_size(0), 2);
-    }
-
-    #[test]
-    fn permutation_oracle_matches_direct_queries() {
-        // classes of size 3 and 2; edges (0,1) and (2,0)
-        let h = ExplicitHypergraph::new(vec![3, 2], vec![vec![0, 1], vec![2, 0]]);
-        let mut p = PermutationOracle::new(h);
-        // W1 contains class-0 vertex 0 and class-1 vertex 0; W2 contains class-1 vertex 1
-        // and class-0 vertex 2: the edge (0, 1) needs 0 ∈ V_0 and 1 ∈ V_1 which is
-        // realised by the identity permutation.
-        let w1: BTreeSet<UnionVertex> = [(0, 0), (1, 0)].into_iter().collect();
-        let w2: BTreeSet<UnionVertex> = [(1, 1), (0, 2)].into_iter().collect();
-        assert!(!p.edge_free_general(&[w1.clone(), w2.clone()]));
-        // swapped order must give the same verdict (permutation handles it)
-        assert!(!p.edge_free_general(&[w2, w1]));
-        // subsets that miss both edges
-        let w1: BTreeSet<UnionVertex> = [(0, 1)].into_iter().collect();
-        let w2: BTreeSet<UnionVertex> = [(1, 1)].into_iter().collect();
-        assert!(p.edge_free_general(&[w1, w2]));
-    }
-
-    #[test]
-    fn permutation_oracle_with_mixed_classes() {
-        // An edge is only found when the per-class intersections line up under
-        // *some* permutation.
-        let h = ExplicitHypergraph::new(vec![2, 2], vec![vec![1, 0]]);
-        let mut p = PermutationOracle::new(h);
-        // W1 holds the class-1 vertex, W2 holds the class-0 vertex: only the
-        // non-identity permutation finds the edge.
-        let w1: BTreeSet<UnionVertex> = [(1, 0)].into_iter().collect();
-        let w2: BTreeSet<UnionVertex> = [(0, 1)].into_iter().collect();
-        assert!(!p.edge_free_general(&[w1, w2]));
     }
 }

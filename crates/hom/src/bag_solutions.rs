@@ -21,7 +21,7 @@
 //!   order, stopping at the first solution.
 
 use crate::instance::HomInstance;
-use cqc_data::{Structure, Tuple, Val};
+use cqc_data::{Structure, Val};
 use std::ops::ControlFlow;
 
 /// Assignments (in `bag` order) of the bag variables that satisfy every
@@ -162,11 +162,10 @@ fn candidates(
             .map(|&p| (p, assignment[c.vars[p]].expect("bound at an earlier level")))
             .collect();
         let mut supported: Vec<Val> = Vec::new();
-        let mut visit = |t: &Tuple| {
+        let mut visit = |t: &[Val]| {
             // the same value must occur at every position of the variable
-            let first = t.get(step.at[0]);
-            if key.iter().all(|&(p, v)| t.get(p) == v) && step.at.iter().all(|&p| t.get(p) == first)
-            {
+            let first = t[step.at[0]];
+            if key.iter().all(|&(p, v)| t[p] == v) && step.at.iter().all(|&p| t[p] == first) {
                 supported.push(first);
             }
         };
@@ -175,9 +174,9 @@ fn candidates(
         match key
             .iter()
             .map(|&(p, v)| rel.matching(p, v))
-            .min_by_key(|rows| rows.len())
+            .min_by_key(ExactSizeIterator::len)
         {
-            Some(rows) => rows.iter().for_each(&mut visit),
+            Some(rows) => rows.for_each(&mut visit),
             None => rel.iter().for_each(&mut visit),
         }
         supported.sort_unstable();

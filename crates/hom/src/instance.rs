@@ -43,7 +43,7 @@ impl<'a> HomInstance<'a> {
             for t in a.relation(sym).iter() {
                 constraints.push(Constraint {
                     sym,
-                    vars: t.values().iter().map(|v| v.index()).collect(),
+                    vars: t.iter().map(|v| v.index()).collect(),
                 });
             }
         }
@@ -67,7 +67,7 @@ impl<'a> HomInstance<'a> {
             for c in &self.constraints {
                 if c.vars.len() == 1 && c.vars[0] == var {
                     let rel = self.b.relation(c.sym);
-                    dom.retain(|&v| rel.contains_values(&[v]));
+                    dom.retain(|&v| rel.contains(&[v]));
                 }
             }
             domains.push(dom);
@@ -98,8 +98,7 @@ impl<'a> HomInstance<'a> {
         self.b
             .relation(c.sym)
             .matching(pos0, val0)
-            .iter()
-            .any(|t| bound.iter().all(|&(pos, val)| t.get(pos) == val))
+            .any(|t| bound.iter().all(|&(pos, val)| t[pos] == val))
     }
 
     /// Check a *full* assignment against every constraint.

@@ -130,13 +130,13 @@ proptest! {
     fn adding_target_facts_is_monotone(raw in raw_instance(), extra in proptest::collection::vec((0u32..4, 0u32..4), 0..5)) {
         let (a, b) = build_pair(&raw);
         let before = count_homomorphisms(&a, &b);
-        let mut b_ext = b.clone();
-        let e = b_ext.signature().symbol("E").unwrap();
-        for &(u, v) in &extra {
-            if (u as usize) < b_ext.universe_size() && (v as usize) < b_ext.universe_size() {
-                b_ext.insert_fact(e, &[Val(u), Val(v)]).unwrap();
-            }
-        }
+        let mut raw_ext = raw.clone();
+        raw_ext.b_binary.extend(
+            extra
+                .iter()
+                .filter(|&&(u, v)| (u as usize) < raw.b_size && (v as usize) < raw.b_size),
+        );
+        let (_, b_ext) = build_pair(&raw_ext);
         let after = count_homomorphisms(&a, &b_ext);
         prop_assert!(after >= before, "adding facts removed homomorphisms: {before} -> {after}");
         prop_assert_eq!(BacktrackingDecider::new().decide(&a, &b), before > 0);

@@ -7,9 +7,9 @@
 //! One **event thread** owns every socket: it polls them for readiness
 //! (`poll(2)` through the std-only shim in [`crate::poll`]), accepts new
 //! connections, fills per-connection read buffers, frames requests
-//! ([`crate::conn`]: read → parse), and drains write buffers. Engine work
+//! (the `conn` module: read → parse), and drains write buffers. Engine work
 //! never runs on the event thread — `/count`, `/stream` and NDJSON lines
-//! pass the **bounded admission counter** ([`crate::dispatch`]) and run as
+//! pass the **bounded admission counter** (the `dispatch` module) and run as
 //! detached jobs on the `cqc-runtime` pool, whose workers also fan each
 //! request's parallel loops, and hand fully rendered response bytes back.
 //! A connection with a request in flight is not read further — that

@@ -197,7 +197,7 @@ pub fn bag_assignment_locally_consistent(
         let witness = db
             .relation(sym)
             .iter()
-            .any(|t| constrained.iter().all(|&(pos, val)| t.get(pos) == val));
+            .any(|t| constrained.iter().all(|&(pos, val)| t[pos] == val));
         if !witness {
             return false;
         }

@@ -8,9 +8,9 @@
 //! `H(ϕ, D)[V₁..V_ℓ]` has a hyperedge **iff** there exists a colouring `f`
 //! and a homomorphism `Â(ϕ) → B̂(ϕ, D, V₁..V_ℓ, f)`.
 
-use crate::ast::{Literal, Query, Var};
-use crate::structures::negated_symbol_name;
-use cqc_data::{Signature, Structure, Val};
+use crate::ast::{Query, Var};
+use crate::structures::{a_signature, add_atoms};
+use cqc_data::{Signature, Structure, StructureBuilder, SymbolId, Val};
 use std::collections::{BTreeSet, HashMap};
 
 /// The variable enumeration `x₁, …, x_{ℓ+k}` used by Definitions 24–28: the
@@ -88,38 +88,34 @@ impl ColouringFamily {
     }
 }
 
-/// The additional unary relation symbols of `Â(ϕ)` / `B̂(ϕ, D, …)` relative
-/// to `A(ϕ)` / `B(ϕ, D)`: one `P_i` per variable position and a pair
+/// The symbols of the shared signature of `Â(ϕ)` and `B̂(ϕ, D, …)`:
+/// `sig(A(ϕ))` followed by one `P_i` per variable position and a pair
 /// `(Rd_d, Bd_d)` per disequality (Definition 26). Deterministic order so the
-/// two structures end up with identical signatures.
-fn hat_signature_extension(q: &Query) -> Vec<(String, usize)> {
-    let mut extra = Vec::new();
-    for i in 0..q.num_vars() {
-        extra.push((format!("P{i}"), 1));
-    }
-    for d in 0..q.disequalities().len() {
-        extra.push((format!("Rd{d}"), 1));
-        extra.push((format!("Bd{d}"), 1));
-    }
-    extra
+/// two structures end up with identical signatures, and symbol ids shared
+/// with `B(ϕ, D)` for the symbols of `sig(A(ϕ))`.
+struct HatSymbols {
+    /// The symbol of each literal, in [`Query::literals`] order.
+    literals: Vec<SymbolId>,
+    /// `P_i` for each variable position `i` in enumeration order.
+    positions: Vec<SymbolId>,
+    /// `(Rd_d, Bd_d)` for each disequality `d`.
+    colours: Vec<(SymbolId, SymbolId)>,
 }
 
-/// The shared signature of `Â(ϕ)` and `B̂(ϕ, D, …)`.
-fn hat_signature(q: &Query) -> Signature {
-    let mut sig = Signature::new();
-    for lit in q.literals() {
-        let atom = lit.atom();
-        let name = match lit {
-            Literal::Positive(_) => atom.relation.clone(),
-            Literal::Negated(_) => negated_symbol_name(&atom.relation),
-        };
-        sig.declare(&name, atom.arity())
-            .expect("consistent arities");
-    }
-    for (name, ar) in hat_signature_extension(q) {
-        sig.declare(&name, ar).expect("fresh names");
-    }
-    sig
+/// The shared signature of `Â(ϕ)` and `B̂(ϕ, D, …)` and its symbols.
+fn hat_signature(q: &Query) -> (Signature, HatSymbols) {
+    let (mut sig, literals) = a_signature(q);
+    let mut unary = |name: String| sig.declare(&name, 1).expect("fresh names");
+    let positions = (0..q.num_vars()).map(|i| unary(format!("P{i}"))).collect();
+    let colours = (0..q.disequalities().len())
+        .map(|d| (unary(format!("Rd{d}")), unary(format!("Bd{d}"))))
+        .collect();
+    let symbols = HatSymbols {
+        literals,
+        positions,
+        colours,
+    };
+    (sig, symbols)
 }
 
 /// Build `Â(ϕ)` (Definition 26): `A(ϕ)` plus
@@ -131,40 +127,29 @@ fn hat_signature(q: &Query) -> Signature {
 pub fn build_a_hat(q: &Query) -> Structure {
     let order = variable_enumeration(q);
     let position: HashMap<Var, usize> = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let sig = hat_signature(q);
-    let mut a = Structure::empty(sig, q.num_vars());
-    a.set_element_names(q.variable_names().to_vec());
+    let (sig, syms) = hat_signature(q);
+    let mut a = StructureBuilder::with_signature(sig, q.num_vars());
     // Relational atoms, exactly as in A(ϕ). Universe elements of Â are the
     // variables indexed by their *original* Var index (not enumeration
     // position); the P_i relations are keyed by enumeration position.
-    for lit in q.literals() {
-        let atom = lit.atom();
-        let name = match lit {
-            Literal::Positive(_) => atom.relation.clone(),
-            Literal::Negated(_) => negated_symbol_name(&atom.relation),
-        };
-        let sym = a.signature().symbol(&name).expect("declared");
-        let tuple: Vec<Val> = atom.vars.iter().map(|v| Val(v.0)).collect();
-        a.insert_fact(sym, &tuple).expect("arities match");
-    }
+    add_atoms(q, &syms.literals, &mut a);
     // P_i = {x_i} where i is the enumeration position of the variable.
-    for (i, v) in order.iter().enumerate() {
-        let sym = a.signature().symbol(&format!("P{i}")).expect("declared");
-        a.insert_fact(sym, &[Val(v.0)]).expect("unary");
+    for (v, &sym) in order.iter().zip(&syms.positions) {
+        a.row(sym, &[Val(v.0)]).expect("unary");
     }
     // Per-disequality colour markers; the paper orders each disequality by
     // enumeration position (i < j).
-    for (d, &(u, v)) in q.disequalities().iter().enumerate() {
+    for (&(u, v), &(r, b)) in q.disequalities().iter().zip(&syms.colours) {
         let (first, second) = if position[&u] < position[&v] {
             (u, v)
         } else {
             (v, u)
         };
-        let r = a.signature().symbol(&format!("Rd{d}")).expect("declared");
-        let b = a.signature().symbol(&format!("Bd{d}")).expect("declared");
-        a.insert_fact(r, &[Val(first.0)]).expect("unary");
-        a.insert_fact(b, &[Val(second.0)]).expect("unary");
+        a.row(r, &[Val(first.0)]).expect("unary");
+        a.row(b, &[Val(second.0)]).expect("unary");
     }
+    let mut a = a.build();
+    a.set_element_names(q.variable_names().to_vec());
     a
 }
 
@@ -188,6 +173,29 @@ pub fn build_b_hat(
     b: &Structure,
     parts: &PartiteSets,
     colouring: &ColouringFamily,
+) -> (Structure, Vec<(usize, Val)>) {
+    b_hat(q, b, parts, colouring, false)
+}
+
+/// [`build_b_hat`] for the relaxation check of the `EdgeFree` oracle: the
+/// `Rd_d` relations follow `colouring` as usual, but every element is also
+/// in every `Bd_d`. With the all-red colouring every element carries both
+/// colours, so the disequalities place no constraint within the region.
+pub fn build_b_hat_relaxed(
+    q: &Query,
+    b: &Structure,
+    parts: &PartiteSets,
+    colouring: &ColouringFamily,
+) -> (Structure, Vec<(usize, Val)>) {
+    b_hat(q, b, parts, colouring, true)
+}
+
+fn b_hat(
+    q: &Query,
+    b: &Structure,
+    parts: &PartiteSets,
+    colouring: &ColouringFamily,
+    all_blue: bool,
 ) -> (Structure, Vec<(usize, Val)>) {
     let order = variable_enumeration(q);
     let position: HashMap<Var, usize> = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -222,61 +230,52 @@ pub fn build_b_hat(
         }
     }
 
-    let sig = hat_signature(q);
-    let mut bh = Structure::empty(sig, decode.len());
+    let (sig, syms) = hat_signature(q);
+    debug_assert!(
+        b.signature().is_subsignature_of(&sig),
+        "B(ϕ, D) shares the symbols of sig(A(ϕ))"
+    );
+    let mut bh = StructureBuilder::with_signature(sig, decode.len());
 
     // Relational tuples, restricted to the index patterns of actual atoms.
-    for lit in q.literals() {
-        let atom = lit.atom();
-        let name = match lit {
-            Literal::Positive(_) => atom.relation.clone(),
-            Literal::Negated(_) => negated_symbol_name(&atom.relation),
-        };
-        let sym_hat = bh.signature().symbol(&name).expect("declared");
-        let sym_b = b.signature().symbol(&name).expect("same symbols as B(ϕ,D)");
-        let pattern: Vec<usize> = atom.vars.iter().map(|v| position[v]).collect();
-        for t in b.relation(sym_b).iter() {
+    for (lit, &sym) in q.literals().iter().zip(&syms.literals) {
+        let pattern: Vec<usize> = lit.atom().vars.iter().map(|v| position[v]).collect();
+        for t in b.relation(sym).iter() {
             // map each value through its class; skip if any value is not in S_i
-            let mut mapped = Vec::with_capacity(pattern.len());
-            let mut ok = true;
-            for (pos, &w) in pattern.iter().zip(t.values()) {
-                match encode.get(&(*pos, w)) {
-                    Some(&id) => mapped.push(Val(id)),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                bh.insert_fact(sym_hat, &mapped).expect("in range");
+            let mapped: Option<Vec<Val>> = pattern
+                .iter()
+                .zip(t)
+                .map(|(pos, &w)| encode.get(&(*pos, w)).map(|&id| Val(id)))
+                .collect();
+            if let Some(mapped) = mapped {
+                bh.row(sym, &mapped).expect("in range");
             }
         }
     }
 
     // P_i = S_i.
-    for (i, si) in s.iter().enumerate() {
-        let sym = bh.signature().symbol(&format!("P{i}")).expect("declared");
+    for ((i, si), &sym) in s.iter().enumerate().zip(&syms.positions) {
         for &w in si {
-            let id = encode[&(i, w)];
-            bh.insert_fact(sym, &[Val(id)]).expect("unary");
+            bh.row(sym, &[Val(encode[&(i, w)])]).expect("unary");
         }
     }
 
-    // Colour relations: Rd_d = {(w, j) | f_d(w) = red}, Bd_d likewise for blue.
-    for d in 0..q.disequalities().len() {
-        let r = bh.signature().symbol(&format!("Rd{d}")).expect("declared");
-        let bl = bh.signature().symbol(&format!("Bd{d}")).expect("declared");
+    // Colour relations: Rd_d = {(w, j) | f_d(w) = red}, Bd_d likewise for
+    // blue (or every element, for the relaxation check).
+    for (d, &(r, bl)) in syms.colours.iter().enumerate() {
         for (id, &(_, w)) in decode.iter().enumerate() {
-            if colouring.is_red(d, w) {
-                bh.insert_fact(r, &[Val(id as u32)]).expect("unary");
-            } else {
-                bh.insert_fact(bl, &[Val(id as u32)]).expect("unary");
+            let id = [Val(id as u32)];
+            let red = colouring.is_red(d, w);
+            if red {
+                bh.row(r, &id).expect("unary");
+            }
+            if all_blue || !red {
+                bh.row(bl, &id).expect("unary");
             }
         }
     }
 
-    (bh, decode)
+    (bh.build(), decode)
 }
 
 #[cfg(test)]
@@ -301,11 +300,7 @@ mod tests {
         loop {
             let ok = a.signature().iter().all(|(sym, _, ar)| {
                 a.relation(sym).iter().all(|t| {
-                    let image: Vec<Val> = t
-                        .values()
-                        .iter()
-                        .map(|v| Val(assignment[v.index()]))
-                        .collect();
+                    let image: Vec<Val> = t.iter().map(|v| Val(assignment[v.index()])).collect();
                     debug_assert_eq!(image.len(), ar);
                     b.holds(sym, &image)
                 })
@@ -421,6 +416,11 @@ mod tests {
         let col = ColouringFamily::from_fn(1, 4, |_, _| true);
         let (b_hat, _) = build_b_hat(&q, &b, &parts, &col);
         assert!(!hom_exists(&a_hat, &b_hat));
+        // the relaxation makes every element blue as well, so it admits one
+        let (relaxed, decode) = build_b_hat_relaxed(&q, &b, &parts, &col);
+        let bd0 = relaxed.signature().symbol("Bd0").unwrap();
+        assert_eq!(relaxed.relation(bd0).len(), decode.len());
+        assert!(hom_exists(&a_hat, &relaxed));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ```
 
 use crate::ast::{Literal, Query};
-use cqc_data::{Signature, Structure, Val};
+use cqc_data::{Signature, Structure, StructureBuilder, SymbolId, Val};
 
 /// The relation-symbol name used for the negated copy `R̄` of a relation `R`
 /// in `sig(A(ϕ))` (Definition 18).
@@ -30,38 +30,45 @@ pub struct QueryStructures {
 
 /// Build the shared signature `sig(A(ϕ))`: a symbol `R` for every relation
 /// appearing in a positive atom and a symbol `~R` for every relation
-/// appearing in a negated atom.
-fn a_signature(q: &Query) -> Signature {
+/// appearing in a negated atom. Also returns the symbol of each literal, in
+/// [`Query::literals`] order.
+pub(crate) fn a_signature(q: &Query) -> (Signature, Vec<SymbolId>) {
     let mut sig = Signature::new();
-    for lit in q.literals() {
-        let atom = lit.atom();
-        let name = match lit {
-            Literal::Positive(_) => atom.relation.clone(),
-            Literal::Negated(_) => negated_symbol_name(&atom.relation),
-        };
-        sig.declare(&name, atom.arity())
-            .expect("query builder enforces consistent arities");
+    let symbols = q
+        .literals()
+        .iter()
+        .map(|lit| {
+            let atom = lit.atom();
+            let name = match lit {
+                Literal::Positive(_) => atom.relation.clone(),
+                Literal::Negated(_) => negated_symbol_name(&atom.relation),
+            };
+            sig.declare(&name, atom.arity())
+                .expect("query builder enforces consistent arities")
+        })
+        .collect();
+    (sig, symbols)
+}
+
+/// Add the argument tuple of every literal of `q` to `b`: the relational
+/// facts shared by `A(ϕ)` and `Â(ϕ)`, whose universe elements are the
+/// variables (by [`crate::Var`] index).
+pub(crate) fn add_atoms(q: &Query, symbols: &[SymbolId], b: &mut StructureBuilder) {
+    for (lit, &sym) in q.literals().iter().zip(symbols) {
+        let tuple: Vec<Val> = lit.atom().vars.iter().map(|v| Val(v.0)).collect();
+        b.row(sym, &tuple).expect("arities match");
     }
-    sig
 }
 
 /// Build `A(ϕ)` (Definition 18): the universe is `vars(ϕ)`, `R^{A(ϕ)}`
 /// contains the argument tuples of the positive `R`-atoms and `~R^{A(ϕ)}`
 /// those of the negated `R`-atoms.
 pub fn build_a_structure(q: &Query) -> Structure {
-    let sig = a_signature(q);
-    let mut a = Structure::empty(sig, q.num_vars());
+    let (sig, symbols) = a_signature(q);
+    let mut a = StructureBuilder::with_signature(sig, q.num_vars());
+    add_atoms(q, &symbols, &mut a);
+    let mut a = a.build();
     a.set_element_names(q.variable_names().to_vec());
-    for lit in q.literals() {
-        let atom = lit.atom();
-        let name = match lit {
-            Literal::Positive(_) => atom.relation.clone(),
-            Literal::Negated(_) => negated_symbol_name(&atom.relation),
-        };
-        let sym = a.signature().symbol(&name).expect("declared above");
-        let tuple: Vec<Val> = atom.vars.iter().map(|v| Val(v.0)).collect();
-        a.insert_fact(sym, &tuple).expect("arities match");
-    }
     a
 }
 
@@ -85,31 +92,29 @@ pub fn build_b_structure(q: &Query, db: &Structure) -> Result<Structure, String>
                 .collect::<Vec<_>>()
         ));
     }
-    let sig = a_signature(q);
+    let (sig, _) = a_signature(q);
     let n = db.universe_size();
-    let mut b = Structure::empty(sig.clone(), n);
-    for (sym, name, _arity) in sig.iter() {
-        if let Some(base) = name.strip_prefix('~') {
-            // negated copy: complement of the database relation
+    let relations = sig
+        .iter()
+        .map(|(_, name, _)| {
+            // a negated copy is the complement of the database relation
+            let (base, negated) = match name.strip_prefix('~') {
+                Some(base) => (base, true),
+                None => (name, false),
+            };
             let dbsym = db
                 .signature()
                 .symbol(base)
                 .ok_or_else(|| format!("relation `{base}` missing from database"))?;
-            let complement = db.relation(dbsym).complement(n);
-            for t in complement.iter() {
-                b.insert_fact(sym, t.values()).expect("in range");
-            }
-        } else {
-            let dbsym = db
-                .signature()
-                .symbol(name)
-                .ok_or_else(|| format!("relation `{name}` missing from database"))?;
-            for t in db.relation(dbsym).iter() {
-                b.insert_fact(sym, t.values()).expect("in range");
-            }
-        }
-    }
-    Ok(b)
+            let rel = db.relation(dbsym);
+            Ok(if negated {
+                rel.complement(n)
+            } else {
+                rel.clone()
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(Structure::new(sig, n, relations).expect("database relations are in range"))
 }
 
 /// Build both structures at once.
@@ -124,7 +129,6 @@ pub fn query_structures(q: &Query, db: &Structure) -> Result<QueryStructures, St
 mod tests {
     use super::*;
     use crate::parse_query;
-    use cqc_data::StructureBuilder;
 
     fn triangle_db() -> Structure {
         // directed triangle 0→1→2→0 plus a self-loop-free F relation
