@@ -9,7 +9,7 @@
 
 use crate::common::{approx_config, load_database, load_facts_file, load_query};
 use crate::{Args, CliError};
-use cqc_core::{exact_count_answers, Backend, EngineBuilder, PreparedQuery};
+use cqc_core::{Backend, EngineBuilder, PreparedQuery};
 use cqc_data::Structure;
 use cqc_runtime::resolve_threads;
 use std::fmt::Write as _;
@@ -138,12 +138,17 @@ pub fn run_count(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Run `cqc exact`.
+/// Run `cqc exact`: the engine's exact backend, so an incompatible database
+/// is refused exactly as `cqc count --method exact` refuses it.
 pub fn run_exact(args: &Args) -> Result<String, CliError> {
     let query = load_query(args)?;
     let db = load_database(args)?;
-    let v = exact_count_answers(&query, &db);
-    Ok(format!("{v}\n"))
+    let report = EngineBuilder::new()
+        .backend(Backend::Exact)
+        .build()
+        .and_then(|engine| engine.prepare(&query)?.count(&db))
+        .map_err(|e| CliError::Count(e.to_string()))?;
+    Ok(format!("{}\n", report.estimate))
 }
 
 #[cfg(test)]

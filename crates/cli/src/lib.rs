@@ -77,7 +77,8 @@ USAGE:
 COMMANDS:
     count      Estimate |Ans(ϕ, D)| (plan once with the engine, then evaluate;
                FPRAS / FPTRAS / exact dispatched per Figure 1)
-    exact      Count |Ans(ϕ, D)| exactly (brute-force baseline)
+    exact      Count |Ans(ϕ, D)| exactly (enumerate solutions with a join,
+               then project; the floor every scheme is measured against)
     sample     Draw approximately uniform answers (Section 6)
     serve      Answer newline-delimited JSON count requests, sharding each
                request's databases across the persistent worker pool —

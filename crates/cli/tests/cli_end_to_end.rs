@@ -227,3 +227,32 @@ fn malformed_inputs_produce_helpful_errors() {
     assert!(matches!(err, CliError::Usage(_)));
     std::fs::remove_file(&db_path).ok();
 }
+
+#[test]
+fn exact_refuses_an_incompatible_database_like_count() {
+    // the query negates `F`, which the database does not declare
+    let db_path = temp_path("no-f.facts");
+    std::fs::write(&db_path, "universe 3\nrelation E 2\nE 0 1\nE 1 2\n").unwrap();
+    let db = db_path.to_str().unwrap();
+    let query = "ans(x, y) :- E(x, y), !F(y, x)";
+    let exact = run_cli(&["exact", "--db", db, "--query", query]).unwrap_err();
+    let count = run_cli(&["count", "--db", db, "--query", query, "--method", "exact"]).unwrap_err();
+    assert!(matches!(exact, CliError::Count(_)), "{exact}");
+    assert_eq!(exact.to_string(), count.to_string());
+    assert!(
+        exact.to_string().contains("incompatible database"),
+        "{exact}"
+    );
+    let exit = |e: CliError| cqc_cli::exit_code::<()>(&Err(e));
+    assert_eq!(exit(exact), exit(count));
+
+    // declaring `F` (with no facts) makes both commands answer
+    std::fs::write(
+        &db_path,
+        "universe 3\nrelation E 2\nrelation F 2\nE 0 1\nE 1 2\n",
+    )
+    .unwrap();
+    let out = run_cli(&["exact", "--db", db, "--query", query]).unwrap();
+    assert_eq!(out.trim(), "2");
+    std::fs::remove_file(&db_path).ok();
+}

@@ -1,12 +1,9 @@
-//! The accuracy configuration shared by every counter, plus the exact
-//! baseline.
+//! The accuracy configuration shared by every counter.
 //!
 //! Counting goes through [`crate::Engine`] / [`crate::PreparedQuery`] (plan
 //! once, count many); an [`ApproxConfig`] is what an engine is built from.
 
 use crate::error::CoreError;
-use cqc_data::Structure;
-use cqc_query::{count_answers_via_solutions, Query};
 
 /// Configuration shared by all approximate counters.
 #[derive(Debug, Clone)]
@@ -103,19 +100,14 @@ impl ApproxConfig {
     }
 }
 
-/// Exact answer counting (baseline; exponential in the query size).
-pub fn exact_count_answers(query: &Query, db: &Structure) -> u64 {
-    count_answers_via_solutions(query, db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::error::{EvalError, PlanError};
     use crate::report::CountMethod;
-    use cqc_data::StructureBuilder;
-    use cqc_query::parse_query;
+    use cqc_data::{Structure, StructureBuilder};
+    use cqc_query::{exact_count_answers, parse_query, Query};
 
     fn tiny_db() -> Structure {
         let mut b = StructureBuilder::new(4);

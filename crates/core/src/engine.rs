@@ -30,7 +30,7 @@
 //! assert_eq!(report.estimate, 1.0); // only element 0 has two distinct friends
 //! ```
 
-use crate::api::{exact_count_answers, ApproxConfig};
+use crate::api::ApproxConfig;
 use crate::error::CoreError;
 use crate::fpras::{fpras_count_with_plan, plan_fpras_with, FprasPlan};
 use crate::fptras::{
@@ -40,7 +40,7 @@ use crate::report::{CountMethod, EstimateReport};
 use crate::sampling::sample_answers_with_plan;
 use cqc_data::{Structure, Val};
 use cqc_obs::{split_seed, Stopwatch};
-use cqc_query::{Query, QueryClass};
+use cqc_query::{exact_count_answers, Query, QueryClass};
 use std::sync::OnceLock;
 use std::time::Duration;
 

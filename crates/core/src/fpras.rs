@@ -330,7 +330,7 @@ mod tests {
     use crate::api::ApproxConfig;
     use crate::engine::{Backend, EngineBuilder};
     use cqc_data::StructureBuilder;
-    use cqc_query::{count_answers_via_solutions, parse_query};
+    use cqc_query::{exact_count_answers, parse_query};
 
     fn config(eps: f64, delta: f64, seed: u64) -> ApproxConfig {
         ApproxConfig {
@@ -386,7 +386,7 @@ mod tests {
         // path query with an existential middle variable
         let q = parse_query("ans(x, y) :- E(x, z), E(z, y)").unwrap();
         for db in [path_graph(6), random_graph(8, 3, 14)] {
-            let truth = count_answers_via_solutions(&q, &db) as f64;
+            let truth = exact_count_answers(&q, &db) as f64;
             let r = fpras(&q, &db, &config(0.2, 0.05, 1)).unwrap();
             assert!(r.exact);
             assert_eq!(r.estimate, truth, "db answers {truth}");
@@ -400,7 +400,7 @@ mod tests {
         // general — the FPRAS handles it.
         let q = parse_query("ans(x1, x2) :- E(y, x1), E(y, x2)").unwrap();
         for db in [path_graph(7), random_graph(9, 5, 18)] {
-            let truth = count_answers_via_solutions(&q, &db) as f64;
+            let truth = exact_count_answers(&q, &db) as f64;
             let r = fpras(&q, &db, &config(0.2, 0.05, 2)).unwrap();
             assert!(r.exact);
             assert_eq!(r.estimate, truth);
@@ -412,7 +412,7 @@ mod tests {
         // force the sampling path by shrinking the exact-state budget
         let q = parse_query("ans(x1, x2) :- E(y, x1), E(y, x2)").unwrap();
         let db = random_graph(12, 7, 40);
-        let truth = count_answers_via_solutions(&q, &db) as f64;
+        let truth = exact_count_answers(&q, &db) as f64;
         let mut cfg = config(0.2, 0.05, 3);
         cfg.fpras_exact_state_budget = 0;
         let r = fpras(&q, &db, &cfg).unwrap();
@@ -451,7 +451,7 @@ mod tests {
                 .count(&db)
                 .unwrap();
             assert!(!r.exact);
-            let truth = count_answers_via_solutions(&q, &db) as f64;
+            let truth = exact_count_answers(&q, &db) as f64;
             assert!(
                 (r.estimate - truth).abs() <= 0.2 * truth,
                 "{text}: {}",
@@ -475,7 +475,7 @@ mod tests {
             b.fact("E", &[u, v]).unwrap();
         }
         let db = b.build();
-        let truth = count_answers_via_solutions(&q, &db) as f64;
+        let truth = exact_count_answers(&q, &db) as f64;
         let r = fpras(&q, &db, &config(0.25, 0.1, 4)).unwrap();
         assert_eq!(r.estimate, truth);
     }

@@ -194,7 +194,7 @@ mod tests {
     use crate::api::ApproxConfig;
     use crate::engine::{Backend, EngineBuilder};
     use cqc_data::StructureBuilder;
-    use cqc_query::{count_answers_via_solutions, parse_query};
+    use cqc_query::{exact_count_answers, parse_query};
 
     fn config(eps: f64, delta: f64, seed: u64) -> ApproxConfig {
         ApproxConfig {
@@ -244,7 +244,7 @@ mod tests {
                 (2, 0),
             ],
         );
-        let truth = count_answers_via_solutions(&q, &db) as f64;
+        let truth = exact_count_answers(&q, &db) as f64;
         let r = fptras(&q, &db, &config(0.2, 0.05, 1)).unwrap();
         assert!(
             (r.estimate - truth).abs() <= 0.25 * truth.max(1.0),
@@ -261,7 +261,7 @@ mod tests {
         // pairs connected one way but not the other
         let q = parse_query("ans(x, y) :- F(x, y), !F(y, x)").unwrap();
         let db = random_graph(5, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 1)]);
-        let truth = count_answers_via_solutions(&q, &db) as f64;
+        let truth = exact_count_answers(&q, &db) as f64;
         let r = fptras(&q, &db, &config(0.2, 0.05, 2)).unwrap();
         assert!(
             (r.estimate - truth).abs() <= 0.25 * truth.max(1.0),
@@ -275,7 +275,7 @@ mod tests {
     fn plain_cq_is_counted_exactly_in_sparse_regime() {
         let q = parse_query("ans(x, y) :- F(x, z), F(z, y)").unwrap();
         let db = random_graph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let truth = count_answers_via_solutions(&q, &db) as f64;
+        let truth = exact_count_answers(&q, &db) as f64;
         let r = fptras(&q, &db, &config(0.3, 0.1, 3)).unwrap();
         assert_eq!(r.estimate, truth);
         assert!(r.exact);

@@ -63,7 +63,7 @@ mod tests {
     use super::*;
     use crate::api::ApproxConfig;
     use crate::engine::{Backend, EngineBuilder};
-    use cqc_query::{count_answers_via_solutions, query_hypergraph, QueryClass};
+    use cqc_query::{exact_count_answers, query_hypergraph, QueryClass};
 
     #[test]
     fn query_shape_matches_observation_10() {
@@ -83,15 +83,15 @@ mod tests {
         // path graph: exactly one undirected Hamiltonian path → 2 directed answers
         let q = hamiltonian_path_query(4);
         let db = undirected_graph_database(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(count_answers_via_solutions(&q, &db), 2);
+        assert_eq!(exact_count_answers(&q, &db), 2);
         // complete graph K4: 4!/... every permutation is a path: 24 answers
         let k4_edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
         let db = undirected_graph_database(4, &k4_edges);
-        assert_eq!(count_answers_via_solutions(&q, &db), 24);
+        assert_eq!(exact_count_answers(&q, &db), 24);
         // cycle C4: undirected Hamiltonian paths = 4 (remove one edge), ×2 directions
         let c4_edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
         let db = undirected_graph_database(4, &c4_edges);
-        assert_eq!(count_answers_via_solutions(&q, &db), 8);
+        assert_eq!(exact_count_answers(&q, &db), 8);
     }
 
     #[test]
@@ -99,7 +99,7 @@ mod tests {
         let q = hamiltonian_path_query(3);
         let db = directed_graph_database(3, &[(0, 1), (1, 2), (2, 0)]);
         // directed C3: three directed Hamiltonian paths (start anywhere)
-        assert_eq!(count_answers_via_solutions(&q, &db), 3);
+        assert_eq!(exact_count_answers(&q, &db), 3);
     }
 
     #[test]
@@ -111,7 +111,7 @@ mod tests {
         // precisely the FPTRAS-vs-FPRAS gap the paper proves unavoidable.
         let q = hamiltonian_path_query(3);
         let db = undirected_graph_database(3, &[(0, 1), (1, 2), (2, 0)]);
-        let truth = count_answers_via_solutions(&q, &db) as f64;
+        let truth = exact_count_answers(&q, &db) as f64;
         assert_eq!(truth, 6.0);
         let cfg = ApproxConfig {
             epsilon: 0.3,

@@ -58,8 +58,9 @@ pub mod report;
 pub mod sampling;
 pub mod unions;
 
-pub use api::{exact_count_answers, ApproxConfig};
+pub use api::ApproxConfig;
 pub use baseline::naive_monte_carlo;
+pub use cqc_query::exact_count_answers;
 pub use engine::{auto_method, Backend, Engine, EngineBuilder, PlanSummary, PreparedQuery};
 pub use error::{CoreError, EvalError, PlanError};
 pub use fpras::{fpras_count_with_plan, plan_fpras_with, FprasPlan};

@@ -125,7 +125,7 @@ pub fn count_locally_injective_homomorphisms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqc_query::count_answers_via_solutions;
+    use cqc_query::exact_count_answers;
 
     #[test]
     fn common_neighbour_pairs_of_a_star() {
@@ -158,7 +158,7 @@ mod tests {
         let pattern = PatternGraph::path(3);
         let q = locally_injective_query(&pattern);
         let host = host_graph_database(3, &[(0, 1), (1, 2), (0, 2)]);
-        let truth = count_answers_via_solutions(&q, &host);
+        let truth = exact_count_answers(&q, &host);
         assert_eq!(truth, 6);
         let cfg = ApproxConfig::new(0.2, 0.05).with_seed(31);
         let r = count_locally_injective_homomorphisms(&pattern, 3, &[(0, 1), (1, 2), (0, 2)], &cfg)
@@ -179,7 +179,7 @@ mod tests {
         let pattern = PatternGraph::star(2);
         let q = locally_injective_query(&pattern);
         let host = host_graph_database(3, &[(0, 1), (1, 2)]);
-        assert_eq!(count_answers_via_solutions(&q, &host), 2);
+        assert_eq!(exact_count_answers(&q, &host), 2);
         let cfg = ApproxConfig::new(0.25, 0.05).with_seed(32);
         let r =
             count_locally_injective_homomorphisms(&pattern, 3, &[(0, 1), (1, 2)], &cfg).unwrap();
@@ -192,7 +192,7 @@ mod tests {
         let q = locally_injective_query(&pattern);
         let host_edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)];
         let host = host_graph_database(4, &host_edges);
-        let truth = count_answers_via_solutions(&q, &host) as f64;
+        let truth = exact_count_answers(&q, &host) as f64;
         let cfg = ApproxConfig::new(0.25, 0.05).with_seed(33);
         let r = count_locally_injective_homomorphisms(&pattern, 4, &host_edges, &cfg).unwrap();
         assert!(

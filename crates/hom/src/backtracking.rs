@@ -1,11 +1,11 @@
 //! Backtracking homomorphism search.
 //!
-//! The search is the crate's one descent (`bag_solutions::descend`) over
+//! The search is the crate's one descent ([`for_each_homomorphism`]) over
 //! every element of `A`: each variable only tries the values that all its
 //! constraints still support given the earlier variables, so dead branches
 //! are never entered.
 
-use crate::bag_solutions::descend;
+use crate::bag_solutions::for_each_homomorphism;
 use crate::instance::HomInstance;
 use cqc_data::{Structure, Val};
 use std::ops::ControlFlow;
@@ -40,10 +40,9 @@ impl BacktrackingDecider {
     pub fn enumerate(&self, a: &Structure, b: &Structure) -> Vec<Vec<Val>> {
         let inst = HomInstance::new(a, b);
         let vars: Vec<usize> = (0..inst.num_vars()).collect();
-        let all: Vec<usize> = (0..inst.constraints.len()).collect();
         let mut out = Vec::new();
-        let _ = descend(&inst, &vars, &all, &inst.initial_domains(), &mut |asg| {
-            out.push(full(asg));
+        let _ = for_each_homomorphism(&inst, &vars, &inst.initial_domains(), &mut |h| {
+            out.push(h.to_vec());
             ControlFlow::Continue(())
         });
         out
@@ -61,18 +60,12 @@ pub(crate) fn first_homomorphism(inst: &HomInstance<'_>) -> Option<Vec<Val>> {
     };
     let mut order: Vec<usize> = (0..inst.num_vars()).collect();
     order.sort_by_key(|&v| (domains[v].len(), usize::MAX - constraint_count(v)));
-    let all: Vec<usize> = (0..inst.constraints.len()).collect();
     let mut found = None;
-    let _ = descend(inst, &order, &all, &domains, &mut |asg| {
-        found = Some(full(asg));
+    let _ = for_each_homomorphism(inst, &order, &domains, &mut |h| {
+        found = Some(h.to_vec());
         ControlFlow::Break(())
     });
     found
-}
-
-/// A complete assignment as a value per element.
-fn full(assignment: &[Option<Val>]) -> Vec<Val> {
-    assignment.iter().map(|v| v.expect("complete")).collect()
 }
 
 #[cfg(test)]

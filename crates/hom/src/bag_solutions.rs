@@ -17,11 +17,16 @@
 //!   by the AGM bound `‖D‖^{fcn(H[B])}` and the join-style enumeration below
 //!   runs in input + output polynomial time, which is what the Theorem 16
 //!   pipeline needs.
-//! * [`crate::BacktrackingDecider`] — all variables in minimum-remaining-values
-//!   order, stopping at the first solution.
+//! * [`for_each_homomorphism`] — every element of `A` in a caller-given
+//!   order under caller-given domains. [`crate::BacktrackingDecider`] runs it
+//!   in minimum-remaining-values order and stops at the first solution;
+//!   `cqc-query` runs it over the positive atoms of a query to enumerate
+//!   exact solutions and answers (Equation (2)).
 
 use crate::instance::HomInstance;
 use cqc_data::{Structure, Val};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::ops::ControlFlow;
 
 /// Assignments (in `bag` order) of the bag variables that satisfy every
@@ -44,6 +49,28 @@ pub fn bag_partial_solutions(a: &Structure, b: &Structure, bag: &[usize]) -> Vec
     let inst = HomInstance::new(a, b);
     let all: Vec<usize> = (0..inst.constraints.len()).collect();
     collect_rows(&inst, bag, &all, &inst.initial_domains())
+}
+
+/// Call `emit` with every homomorphism `A → B` of `inst` (a value per element
+/// of `A`) that maps each element `v` into `domains[v]` (sorted ascending).
+/// `order` lists every element of `A` once: the search assigns them in that
+/// order, so homomorphisms come out in lexicographic `order` order. `emit`
+/// returns [`ControlFlow::Break`] to stop the search, which then returns
+/// `Break` too.
+pub fn for_each_homomorphism(
+    inst: &HomInstance<'_>,
+    order: &[usize],
+    domains: &[Vec<Val>],
+    emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    assert_eq!(order.len(), inst.num_vars());
+    let all: Vec<usize> = (0..inst.constraints.len()).collect();
+    let mut h = Vec::with_capacity(order.len());
+    descend(inst, order, &all, domains, &mut |asg| {
+        h.clear();
+        h.extend(asg.iter().map(|v| v.expect("every element is ordered")));
+        emit(&h)
+    })
 }
 
 /// Every assignment [`descend`] reaches, projected onto `order`.
@@ -70,6 +97,9 @@ struct Step {
     at: Vec<usize>,
     /// The positions holding variables assigned at earlier levels.
     bound: Vec<usize>,
+    /// With no position bound, the values the constraint supports do not
+    /// depend on the assignment: computed on first use, once per descent.
+    unbound: OnceCell<Vec<Val>>,
 }
 
 /// Assign `order` one variable at a time and call `emit` with every complete
@@ -90,12 +120,11 @@ pub(crate) fn descend(
     domains: &[Vec<Val>],
     emit: &mut dyn FnMut(&[Option<Val>]) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let mut assignment: Vec<Option<Val>> = vec![None; inst.num_vars()];
     // A watched constraint disjoint from `order` only needs some tuple at all
     // (Definition 47 requires every atom to be individually extendable).
     let untouched_supported = watched.iter().all(|&ci| {
         let c = &inst.constraints[ci];
-        c.vars.iter().any(|v| order.contains(v)) || inst.constraint_supported(c, &assignment)
+        c.vars.iter().any(|v| order.contains(v)) || !inst.b.relation(c.sym).is_empty()
     });
     if !untouched_supported {
         return ControlFlow::Continue(());
@@ -116,11 +145,13 @@ pub(crate) fn descend(
                         bound: (0..vars.len())
                             .filter(|&p| earlier.contains(&vars[p]))
                             .collect(),
+                        unbound: OnceCell::new(),
                     })
                 })
                 .collect()
         })
         .collect();
+    let mut assignment: Vec<Option<Val>> = vec![None; inst.num_vars()];
     descend_from(inst, order, &steps, domains, 0, &mut assignment, emit)
 }
 
@@ -152,54 +183,65 @@ fn candidates(
     domain: &[Val],
     assignment: &[Option<Val>],
 ) -> Vec<Val> {
-    let mut cands: Option<Vec<Val>> = None;
+    let mut lists: Vec<Cow<'_, [Val]>> = Vec::with_capacity(steps.len());
     for step in steps {
-        let c = &inst.constraints[step.ci];
-        let rel = inst.b.relation(c.sym);
-        let key: Vec<(usize, Val)> = step
-            .bound
-            .iter()
-            .map(|&p| (p, assignment[c.vars[p]].expect("bound at an earlier level")))
-            .collect();
-        let mut supported: Vec<Val> = Vec::new();
-        let mut visit = |t: &[Val]| {
-            // the same value must occur at every position of the variable
-            let first = t[step.at[0]];
-            if key.iter().all(|&(p, v)| t[p] == v) && step.at.iter().all(|&p| t[p] == first) {
-                supported.push(first);
-            }
+        let list = if step.bound.is_empty() {
+            Cow::Borrowed(
+                step.unbound
+                    .get_or_init(|| supported(inst, step, assignment))
+                    .as_slice(),
+            )
+        } else {
+            Cow::Owned(supported(inst, step, assignment))
         };
-        // Scan the shortest index list of a bound position, or the whole
-        // relation when nothing is bound yet.
-        match key
-            .iter()
-            .map(|&(p, v)| rel.matching(p, v))
-            .min_by_key(ExactSizeIterator::len)
-        {
-            Some(rows) => rows.for_each(&mut visit),
-            None => rel.iter().for_each(&mut visit),
+        if list.is_empty() {
+            return Vec::new();
         }
-        supported.sort_unstable();
-        supported.dedup();
-        let next = match cands {
-            None => supported,
-            Some(prev) => prev
-                .into_iter()
-                .filter(|v| supported.binary_search(v).is_ok())
-                .collect(),
-        };
-        if next.is_empty() {
-            return next;
-        }
-        cands = Some(next);
+        lists.push(list);
     }
-    match cands {
-        None => domain.to_vec(),
-        Some(mut cands) => {
-            cands.retain(|v| domain.binary_search(v).is_ok());
-            cands
+    // Filter the shortest list, so a cached whole-relation list is only
+    // walked when nothing narrower constrains the variable.
+    let Some(shortest) = (0..lists.len()).min_by_key(|&i| lists[i].len()) else {
+        return domain.to_vec();
+    };
+    let mut cands = lists.swap_remove(shortest).into_owned();
+    cands.retain(|v| {
+        domain.binary_search(v).is_ok() && lists.iter().all(|l| l.binary_search(v).is_ok())
+    });
+    cands
+}
+
+/// The values (ascending, deduplicated) that `step`'s constraint supports for
+/// its variable given the values `assignment` binds at its earlier positions.
+fn supported(inst: &HomInstance<'_>, step: &Step, assignment: &[Option<Val>]) -> Vec<Val> {
+    let c = &inst.constraints[step.ci];
+    let rel = inst.b.relation(c.sym);
+    let key: Vec<(usize, Val)> = step
+        .bound
+        .iter()
+        .map(|&p| (p, assignment[c.vars[p]].expect("bound at an earlier level")))
+        .collect();
+    let mut supported: Vec<Val> = Vec::new();
+    let mut visit = |t: &[Val]| {
+        // the same value must occur at every position of the variable
+        let first = t[step.at[0]];
+        if key.iter().all(|&(p, v)| t[p] == v) && step.at.iter().all(|&p| t[p] == first) {
+            supported.push(first);
         }
+    };
+    // Scan the shortest index list of a bound position, or the whole
+    // relation when nothing is bound yet.
+    match key
+        .iter()
+        .map(|&(p, v)| rel.matching(p, v))
+        .min_by_key(ExactSizeIterator::len)
+    {
+        Some(rows) => rows.for_each(&mut visit),
+        None => rel.iter().for_each(&mut visit),
     }
+    supported.sort_unstable();
+    supported.dedup();
+    supported
 }
 
 #[cfg(test)]

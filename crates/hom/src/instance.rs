@@ -75,32 +75,6 @@ impl<'a> HomInstance<'a> {
         domains
     }
 
-    /// Does the partial assignment admit, for this constraint, at least one
-    /// tuple of `B` consistent with the already-assigned positions?
-    /// (Support check; returns `true` when nothing is assigned yet.)
-    pub fn constraint_supported(&self, c: &Constraint, assignment: &[Option<Val>]) -> bool {
-        let bound: Vec<(usize, Val)> = c
-            .vars
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &var)| assignment[var].map(|v| (pos, v)))
-            .collect();
-        if bound.is_empty() {
-            return !self.b.relation(c.sym).is_empty();
-        }
-        if bound.len() == c.vars.len() {
-            let image: Vec<Val> = c.vars.iter().map(|&var| assignment[var].unwrap()).collect();
-            return self.b.holds(c.sym, &image);
-        }
-        // Scan only the tuples the per-column index gives for one bound
-        // position.
-        let (pos0, val0) = bound[0];
-        self.b
-            .relation(c.sym)
-            .matching(pos0, val0)
-            .any(|t| bound.iter().all(|&(pos, val)| t[pos] == val))
-    }
-
     /// Check a *full* assignment against every constraint.
     pub fn is_homomorphism(&self, assignment: &[Val]) -> bool {
         assert_eq!(assignment.len(), self.num_vars());
@@ -166,22 +140,6 @@ mod tests {
         assert!(inst.is_homomorphism(&[Val(0), Val(1)]));
         assert!(inst.is_homomorphism(&[Val(2), Val(0)]));
         assert!(!inst.is_homomorphism(&[Val(0), Val(2)]));
-    }
-
-    #[test]
-    fn support_check_partial() {
-        let a = pattern_edge();
-        let b = triangle();
-        let inst = HomInstance::new(&a, &b);
-        let c = &inst.constraints[0];
-        // nothing assigned: supported because E is non-empty
-        assert!(inst.constraint_supported(c, &[None, None]));
-        // x = 0: supported (0 → 1)
-        assert!(inst.constraint_supported(c, &[Some(Val(0)), None]));
-        // y = 0: supported (2 → 0)
-        assert!(inst.constraint_supported(c, &[None, Some(Val(0))]));
-        // x = 0, y = 2: not supported
-        assert!(!inst.constraint_supported(c, &[Some(Val(0)), Some(Val(2))]));
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //!   [`bag_solutions()`] / [`bag_partial_solutions`], the per-bag (partial)
 //!   solution relations; the latter is the `Sol(ϕ, D, B_t)` computation of
 //!   Lemma 48 (Grohe–Marx fractional-cover join) used by the Theorem 16
-//!   pipeline. [`BacktrackingDecider`] runs it over all of `A` in
-//!   minimum-remaining-values order and stops at the first solution;
-//!   complete for every instance, exponential in the worst case.
+//!   pipeline. [`for_each_homomorphism`] runs it over all of `A` in a given
+//!   order under given domains: [`BacktrackingDecider`] calls it in
+//!   minimum-remaining-values order and stops at the first solution
+//!   (complete for every instance, exponential in the worst case), and
+//!   `cqc-query` calls it over the positive atoms of a query for exact
+//!   solutions, answers and answer counts.
 //! * one tree-decomposition DP (`count.rs`), generic over the row weight:
 //!   [`count_homomorphisms`] counts homomorphisms exactly (Dalmau–Jonsson,
 //!   a baseline), and [`DecompositionDecider`] decides `Hom` with it — the
@@ -38,7 +41,7 @@ pub mod instance;
 pub mod oracle;
 
 pub use backtracking::BacktrackingDecider;
-pub use bag_solutions::{bag_partial_solutions, bag_solutions};
+pub use bag_solutions::{bag_partial_solutions, bag_solutions, for_each_homomorphism};
 pub use count::count_homomorphisms;
 pub use decomposition_dp::DecompositionDecider;
 pub use instance::HomInstance;

@@ -1,17 +1,25 @@
-//! Brute-force semantics: solutions (Definition 1), answers (Definition 2)
-//! and partial solutions `Sol(ϕ, D, B)` (Definition 47).
+//! Exact semantics: solutions (Definition 1), answers (Definition 2) and
+//! partial solutions `Sol(ϕ, D, B)` (Definition 47).
 //!
-//! Everything in this module is *exact* and exponential in the query size;
-//! it serves as the ground truth for tests and as the brute-force baseline
-//! (`‖D‖^{O(‖ϕ‖)}`, Section 1.1) in the experiments.
+//! Solutions are found as Equation (2) describes them: the homomorphisms
+//! from `A⁺` — the positive atoms of `ϕ` over the universe `vars(ϕ)` — into
+//! `D`, enumerated by `cqc-hom`'s descent (a generic join: every variable
+//! only tries the values all its positive atoms still support), and kept
+//! when they satisfy the negated atoms and the disequalities.
+//! [`enumerate_solutions`], [`enumerate_answers`], [`is_answer`] and
+//! [`exact_count_answers`] are built on that one search; its cost follows
+//! the solutions, not `|U(D)|^{|vars(ϕ)|}`.
+//!
+//! [`count_answers_bruteforce`] and [`partial_solutions`] are the
+//! definitional oracles the tests check against: they walk every
+//! assignment and test the definitions directly, exponentially in the
+//! query size (the `‖D‖^{O(‖ϕ‖)}` brute force of Section 1.1).
 
-use crate::ast::{Literal, Query, Var};
-use cqc_data::{Structure, Val};
+use crate::ast::{Atom, Literal, Query, Var};
+use cqc_data::{Structure, StructureBuilder, SymbolId, Val};
+use cqc_hom::{for_each_homomorphism, HomInstance};
 use std::collections::BTreeSet;
-
-/// A (partial) assignment of database values to query variables, indexed by
-/// variable index; `None` means unassigned.
-pub type Assignment = Vec<Option<Val>>;
+use std::ops::ControlFlow;
 
 /// Check whether a *full* assignment (one value per variable, in variable
 /// index order) is a solution of `(ϕ, D)` (Definition 1).
@@ -39,15 +47,12 @@ pub fn is_solution(q: &Query, db: &Structure, assignment: &[Val]) -> bool {
     true
 }
 
-/// Enumerate all solutions of `(ϕ, D)` (full assignments, Definition 1) by
-/// backtracking with constraint propagation on fully-assigned literals.
+/// Enumerate all solutions of `(ϕ, D)` (full assignments, Definition 1).
 pub fn enumerate_solutions(q: &Query, db: &Structure) -> Vec<Vec<Val>> {
     let mut out = Vec::new();
-    let mut assignment: Assignment = vec![None; q.num_vars()];
-    let order: Vec<Var> = q.vars().collect();
-    backtrack_all(q, db, &order, 0, &mut assignment, &mut |a| {
-        out.push(a.iter().map(|v| v.expect("full")).collect());
-        true
+    for_each_solution(q, db, None, &mut |s| {
+        out.push(s.to_vec());
+        ControlFlow::Continue(())
     });
     out
 }
@@ -56,77 +61,48 @@ pub fn enumerate_solutions(q: &Query, db: &Structure) -> Vec<Vec<Val>> {
 /// of solutions onto the free variables, in head order.
 pub fn enumerate_answers(q: &Query, db: &Structure) -> BTreeSet<Vec<Val>> {
     let mut out = BTreeSet::new();
-    let mut assignment: Assignment = vec![None; q.num_vars()];
-    let order: Vec<Var> = q.vars().collect();
-    backtrack_all(q, db, &order, 0, &mut assignment, &mut |a| {
-        let tau: Vec<Val> = q
-            .free_vars()
-            .iter()
-            .map(|v| a[v.index()].expect("full"))
-            .collect();
-        out.insert(tau);
-        true
+    for_each_solution(q, db, None, &mut |s| {
+        out.insert(q.free_vars().iter().map(|v| s[v.index()]).collect());
+        ControlFlow::Continue(())
     });
     out
 }
 
 /// Check whether `tau` (values for the free variables, in head order) is an
-/// answer of `(ϕ, D)`, i.e. extends to a solution (Definition 2). Uses
-/// backtracking over the existential variables.
+/// answer of `(ϕ, D)`, i.e. extends to a solution (Definition 2). The search
+/// fixes the free variables to `tau` and stops at the first witness.
 pub fn is_answer(q: &Query, db: &Structure, tau: &[Val]) -> bool {
     assert_eq!(tau.len(), q.num_free_vars());
-    let mut assignment: Assignment = vec![None; q.num_vars()];
-    for (v, &val) in q.free_vars().iter().zip(tau) {
-        assignment[v.index()] = Some(val);
-    }
-    // quick reject: constraints already violated by tau alone
-    if violates_partial(q, db, &assignment) {
-        return false;
-    }
-    let order: Vec<Var> = q.existential_vars();
     let mut found = false;
-    backtrack_all(q, db, &order, 0, &mut assignment, &mut |_| {
+    for_each_solution(q, db, Some(tau), &mut |_| {
         found = true;
-        false // stop at the first witness
+        ControlFlow::Break(())
     });
     found
 }
 
-/// The paper's brute-force algorithm (Section 1.1): iterate over all
-/// `|U(D)|^ℓ` assignments of the free variables and test extendability.
-/// Exact but exponential in the number of free variables.
-pub fn count_answers_bruteforce(q: &Query, db: &Structure) -> u64 {
-    let ell = q.num_free_vars();
-    let n = db.universe_size();
-    if ell == 0 {
-        return if is_answer(q, db, &[]) { 1 } else { 0 };
-    }
-    let mut tau = vec![Val(0); ell];
-    let mut count = 0u64;
-    loop {
-        if is_answer(q, db, &tau) {
-            count += 1;
-        }
-        // advance odometer
-        let mut i = 0;
-        loop {
-            if i == ell {
-                return count;
-            }
-            tau[i] = Val(tau[i].0 + 1);
-            if (tau[i].0 as usize) < n {
-                break;
-            }
-            tau[i] = Val(0);
-            i += 1;
-        }
-    }
+/// `|Ans(ϕ, D)|`, exactly: the number of distinct projections of the
+/// enumerated solutions.
+pub fn exact_count_answers(q: &Query, db: &Structure) -> u64 {
+    enumerate_answers(q, db).len() as u64
 }
 
-/// Exact answer count computed by enumerating solutions and projecting
-/// (faster than [`count_answers_bruteforce`] when solutions are sparse).
-pub fn count_answers_via_solutions(q: &Query, db: &Structure) -> u64 {
-    enumerate_answers(q, db).len() as u64
+/// The paper's brute force (Section 1.1), kept as the definitional oracle:
+/// walk all `|U(D)|^{|vars(ϕ)|}` full assignments, test Definition 1 on each
+/// and count the distinct projections onto the free variables.
+pub fn count_answers_bruteforce(q: &Query, db: &Structure) -> u64 {
+    let mut answers = BTreeSet::new();
+    for_each_assignment(q.num_vars(), db.universe_size(), |a| {
+        if is_solution(q, db, a) {
+            answers.insert(
+                q.free_vars()
+                    .iter()
+                    .map(|v| a[v.index()])
+                    .collect::<Vec<_>>(),
+            );
+        }
+    });
+    answers.len() as u64
 }
 
 /// Partial solutions `Sol(ϕ, D, B)` (Definition 47): assignments `α : B →
@@ -137,148 +113,123 @@ pub fn count_answers_via_solutions(q: &Query, db: &Structure) -> u64 {
 /// and disequalities of the query are ignored here, matching the paper's use.
 pub fn partial_solutions(q: &Query, db: &Structure, bag: &[Var]) -> BTreeSet<Vec<Val>> {
     let mut out = BTreeSet::new();
-    let k = bag.len();
-    if k == 0 {
-        // the empty assignment is a partial solution iff every atom has at
-        // least one matching tuple
-        let ok = q.positive_atoms().all(|atom| {
-            db.signature()
-                .symbol(&atom.relation)
-                .map(|sym| !db.relation(sym).is_empty())
-                .unwrap_or(false)
+    for_each_assignment(bag.len(), db.universe_size(), |values| {
+        let value = |v: &Var| bag.iter().position(|b| b == v).map(|i| values[i]);
+        // every positive atom, on its own, has a tuple agreeing with `bag ↦ values`
+        let consistent = q.positive_atoms().all(|atom| {
+            db.signature().symbol(&atom.relation).is_some_and(|sym| {
+                db.relation(sym).iter().any(|t| {
+                    (atom.vars.iter().zip(t)).all(|(v, x)| value(v).is_none_or(|val| val == *x))
+                })
+            })
         });
-        if ok {
-            out.insert(vec![]);
+        if consistent {
+            out.insert(values.to_vec());
         }
-        return out;
-    }
-    let n = db.universe_size();
-    let mut values = vec![Val(0); k];
-    'outer: loop {
-        if bag_assignment_locally_consistent(q, db, bag, &values) {
-            out.insert(values.clone());
-        }
-        let mut i = 0;
-        loop {
-            if i == k {
-                break 'outer;
-            }
-            values[i] = Val(values[i].0 + 1);
-            if (values[i].0 as usize) < n {
-                break;
-            }
-            values[i] = Val(0);
-            i += 1;
-        }
-    }
+    });
     out
 }
 
-/// Is the assignment `bag ↦ values` consistent with every positive atom in
-/// the per-atom (semijoin) sense of Definition 47?
-pub fn bag_assignment_locally_consistent(
+/// Call `visit` with each of the `n^k` assignments of values in `0..n` to
+/// `k` positions (one, the empty one, when `k = 0`).
+fn for_each_assignment(k: usize, n: usize, mut visit: impl FnMut(&[Val])) {
+    if n == 0 && k > 0 {
+        return;
+    }
+    let mut values = vec![Val(0); k];
+    loop {
+        visit(&values);
+        // advance the odometer; the last assignment has every digit at n - 1
+        let Some(i) = values.iter().position(|v| v.0 as usize + 1 < n) else {
+            return;
+        };
+        values[i] = Val(values[i].0 + 1);
+        values[..i].fill(Val(0));
+    }
+}
+
+/// Call `emit` with every solution of `(ϕ, D)` (a value per variable) whose
+/// free variables take the values `tau` (in head order) when given; `emit`
+/// returns [`ControlFlow::Break`] to stop. A query whose signature is not
+/// contained in `sig(D)` has no solutions.
+fn for_each_solution(
     q: &Query,
     db: &Structure,
-    bag: &[Var],
-    values: &[Val],
-) -> bool {
-    let lookup = |v: Var| -> Option<Val> { bag.iter().position(|&b| b == v).map(|i| values[i]) };
+    tau: Option<&[Val]>,
+    emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
+) {
+    if !q.compatible_with(db.signature()) {
+        return;
+    }
+    let symbol = |atom: &Atom| -> SymbolId {
+        db.signature()
+            .symbol(&atom.relation)
+            .expect("sig(ϕ) ⊆ sig(D)")
+    };
+    // A⁺: the positive atoms of ϕ over the universe vars(ϕ), in sig(D)
+    let mut a_plus = StructureBuilder::with_signature(db.signature().clone(), q.num_vars());
     for atom in q.positive_atoms() {
-        let sym = match db.signature().symbol(&atom.relation) {
-            Some(s) => s,
-            None => return false,
-        };
-        let constrained: Vec<(usize, Val)> = atom
-            .vars
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, v)| lookup(*v).map(|val| (pos, val)))
-            .collect();
-        let witness = db
-            .relation(sym)
-            .iter()
-            .any(|t| constrained.iter().all(|&(pos, val)| t[pos] == val));
-        if !witness {
-            return false;
-        }
+        let row: Vec<Val> = atom.vars.iter().map(|v| Val(v.0)).collect();
+        a_plus.row(symbol(atom), &row).expect("arities match");
     }
-    true
+    let a_plus = a_plus.build();
+    let negated: Vec<(SymbolId, &[Var])> = q
+        .negated_atoms()
+        .map(|atom| (symbol(atom), atom.vars.as_slice()))
+        .collect();
+    let inst = HomInstance::new(&a_plus, db);
+    let mut domains = inst.initial_domains();
+    for (v, t) in q.free_vars().iter().zip(tau.unwrap_or_default()) {
+        domains[v.index()].retain(|d| d == t);
+    }
+    let mut image = Vec::new();
+    let _ = for_each_homomorphism(&inst, &connected_order(q), &domains, &mut |h| {
+        let violated = q
+            .disequalities()
+            .iter()
+            .any(|&(u, v)| h[u.index()] == h[v.index()])
+            || negated.iter().any(|&(sym, vars)| {
+                image.clear();
+                image.extend(vars.iter().map(|v| h[v.index()]));
+                db.holds(sym, &image)
+            });
+        if violated {
+            ControlFlow::Continue(())
+        } else {
+            emit(h)
+        }
+    });
 }
 
-/// Backtracking over `order[level..]`, invoking `on_solution` for every full
-/// solution; `on_solution` returns `false` to stop the search early.
-fn backtrack_all(
-    q: &Query,
-    db: &Structure,
-    order: &[Var],
-    level: usize,
-    assignment: &mut Assignment,
-    on_solution: &mut dyn FnMut(&Assignment) -> bool,
-) -> bool {
-    if level == order.len() {
-        // all variables in `order` assigned; if `order` covers all variables,
-        // the constraint checks below have already validated everything.
-        return on_solution(assignment);
+/// The variables in a connected order: the lowest-index variable first, then
+/// each time the lowest-index variable that shares a positive atom with an
+/// ordered one (the lowest-index unordered variable when none does), so
+/// every join step after the first is bound by an earlier variable.
+fn connected_order(q: &Query) -> Vec<usize> {
+    let n = q.num_vars();
+    let mut ordered = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let unordered = || (0..n).filter(|&v| !ordered[v]);
+        let next = unordered()
+            .find(|&v| {
+                q.positive_atoms().any(|atom| {
+                    atom.vars.iter().any(|u| u.index() == v)
+                        && atom.vars.iter().any(|u| ordered[u.index()])
+                })
+            })
+            .or_else(|| unordered().next())
+            .expect("a variable is left to order");
+        ordered[next] = true;
+        order.push(next);
     }
-    let var = order[level];
-    let n = db.universe_size();
-    for val in 0..n as u32 {
-        assignment[var.index()] = Some(Val(val));
-        if !violates_partial(q, db, assignment)
-            && !backtrack_all(q, db, order, level + 1, assignment, on_solution)
-        {
-            assignment[var.index()] = None;
-            return false;
-        }
-    }
-    assignment[var.index()] = None;
-    true
-}
-
-/// Does the partial assignment already violate a fully-assigned constraint?
-fn violates_partial(q: &Query, db: &Structure, assignment: &Assignment) -> bool {
-    for lit in q.literals() {
-        let atom = lit.atom();
-        let mut image = Vec::with_capacity(atom.vars.len());
-        let mut complete = true;
-        for v in &atom.vars {
-            match assignment[v.index()] {
-                Some(val) => image.push(val),
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        if !complete {
-            continue;
-        }
-        let sym = match db.signature().symbol(&atom.relation) {
-            Some(s) => s,
-            None => return true,
-        };
-        let holds = db.holds(sym, &image);
-        match lit {
-            Literal::Positive(_) if !holds => return true,
-            Literal::Negated(_) if holds => return true,
-            _ => {}
-        }
-    }
-    for &(u, v) in q.disequalities() {
-        if let (Some(a), Some(b)) = (assignment[u.index()], assignment[v.index()]) {
-            if a == b {
-                return true;
-            }
-        }
-    }
-    false
+    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse_query;
-    use cqc_data::StructureBuilder;
 
     fn friends_db() -> Structure {
         // 0 is friends with 1, 2; 3 is friends with 0 only; 4 isolated
@@ -308,7 +259,7 @@ mod tests {
         assert_eq!(ans.len(), 1);
         assert!(ans.contains(&vec![Val(0)]));
         assert_eq!(count_answers_bruteforce(&q, &db), 1);
-        assert_eq!(count_answers_via_solutions(&q, &db), 1);
+        assert_eq!(exact_count_answers(&q, &db), 1);
     }
 
     #[test]
@@ -365,7 +316,7 @@ mod tests {
         )
         .unwrap();
         let db = path_graph(4);
-        assert_eq!(count_answers_via_solutions(&q, &db), 1);
+        assert_eq!(exact_count_answers(&q, &db), 1);
     }
 
     #[test]
@@ -440,7 +391,47 @@ mod tests {
         let db = b.build();
         assert_eq!(
             count_answers_bruteforce(&q, &db),
-            count_answers_via_solutions(&q, &db)
+            exact_count_answers(&q, &db)
         );
+    }
+
+    #[test]
+    fn empty_universe_has_no_answers() {
+        // the only assignment candidates are out of range: no solution, no answer
+        let q = parse_query("ans(x) :- !E(x, x)").unwrap();
+        let mut b = StructureBuilder::new(0);
+        b.relation("E", 2);
+        let db = b.build();
+        assert_eq!(count_answers_bruteforce(&q, &db), 0);
+        assert_eq!(exact_count_answers(&q, &db), 0);
+        assert!(enumerate_solutions(&q, &db).is_empty());
+    }
+
+    #[test]
+    fn variable_only_in_a_negated_atom() {
+        // y occurs only under the negation: every value without an F-edge x→y
+        let q = parse_query("ans(x, y) :- F(x, z), !F(x, y)").unwrap();
+        let db = friends_db();
+        // x = 0: y ∈ {0, 3, 4}; x = 3: y ∈ {1, 2, 3, 4}
+        assert_eq!(exact_count_answers(&q, &db), 7);
+        assert_eq!(count_answers_bruteforce(&q, &db), 7);
+        assert!(is_answer(&q, &db, &[Val(0), Val(4)]));
+        assert!(!is_answer(&q, &db, &[Val(0), Val(1)]));
+        assert!(!is_answer(&q, &db, &[Val(4), Val(0)]));
+    }
+
+    #[test]
+    fn relation_missing_from_the_database() {
+        let db = friends_db();
+        for text in ["ans(x) :- F(x, y), G(y)", "ans(x, y) :- F(x, y), !G(y, x)"] {
+            let q = parse_query(text).unwrap();
+            assert_eq!(exact_count_answers(&q, &db), 0, "{text}");
+            assert_eq!(count_answers_bruteforce(&q, &db), 0, "{text}");
+            assert!(enumerate_solutions(&q, &db).is_empty(), "{text}");
+            assert!(
+                !is_answer(&q, &db, &vec![Val(0); q.num_free_vars()]),
+                "{text}"
+            );
+        }
     }
 }

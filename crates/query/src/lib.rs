@@ -18,9 +18,11 @@
 //! * [`build_a_hat`] / [`build_b_hat`] — the coloured structures `Â(ϕ)`
 //!   (Definition 26) and `B̂(ϕ, D, V₁..V_ℓ, f)` (Definition 28) used by the
 //!   colour-coding oracle simulation of Lemma 22 / Lemma 30.
-//! * [`answers`] — brute-force solutions, answers, and partial solutions
-//!   `Sol(ϕ, D, B)` (Definitions 1, 2, 44–47) used as ground truth in tests
-//!   and as the baseline of the experiments.
+//! * [`answers`] — exact solutions, answers and answer counts
+//!   (Definitions 1, 2), enumerated as homomorphisms `A(ϕ) → B(ϕ, D)`
+//!   (Equation (2)) by `cqc-hom`'s join; plus the definitional brute-force
+//!   oracles (answer counts, partial solutions `Sol(ϕ, D, B)` of
+//!   Definition 47) that tests check against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +36,8 @@ pub mod parser;
 pub mod structures;
 
 pub use answers::{
-    count_answers_bruteforce, count_answers_via_solutions, enumerate_answers, enumerate_solutions,
-    is_answer, is_solution, partial_solutions, Assignment,
+    count_answers_bruteforce, enumerate_answers, enumerate_solutions, exact_count_answers,
+    is_answer, is_solution, partial_solutions,
 };
 pub use ast::{Atom, Literal, Query, QueryClass, QueryError, Var};
 pub use builder::QueryBuilder;

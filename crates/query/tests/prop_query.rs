@@ -6,9 +6,9 @@
 
 use cqc_data::{Structure, StructureBuilder, Val};
 use cqc_query::{
-    build_a_structure, build_b_structure, count_answers_bruteforce, count_answers_via_solutions,
-    enumerate_answers, enumerate_solutions, is_answer, is_solution, parse_query, query_hypergraph,
-    QueryBuilder, QueryClass,
+    build_a_structure, build_b_structure, count_answers_bruteforce, enumerate_answers,
+    enumerate_solutions, exact_count_answers, is_answer, is_solution, parse_query,
+    query_hypergraph, QueryBuilder, QueryClass,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -147,22 +147,23 @@ fn random_db(universe: usize, seed: &[u8]) -> Structure {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The two exact counters (brute force over free-variable assignments and
-    /// projection of the enumerated solution set) agree, and both agree with
-    /// the size of the enumerated answer set.
+    /// The exact count (the join's solutions, projected) agrees with the
+    /// definitional brute force over every full assignment, and both agree
+    /// with the size of the enumerated answer set.
     #[test]
     fn exact_counters_agree(raw in raw_query(), universe in 2usize..5, seed in proptest::collection::vec(any::<u8>(), 4)) {
         let Some(q) = build_query(&raw) else { return Ok(()); };
         let db = random_db(universe, &seed);
         let brute = count_answers_bruteforce(&q, &db);
-        let via_sol = count_answers_via_solutions(&q, &db);
+        let via_join = exact_count_answers(&q, &db);
         let enumerated = enumerate_answers(&q, &db);
-        prop_assert_eq!(brute, via_sol);
+        prop_assert_eq!(brute, via_join);
         prop_assert_eq!(brute as usize, enumerated.len());
     }
 
     /// Definition 2: τ is an answer iff some solution projects onto it, and
-    /// every enumerated solution satisfies every literal (Definition 1).
+    /// every enumerated solution satisfies every literal (Definition 1);
+    /// `is_answer` accepts exactly the answers.
     #[test]
     fn answers_are_projections_of_solutions(raw in raw_query(), universe in 2usize..4, seed in proptest::collection::vec(any::<u8>(), 4)) {
         let Some(q) = build_query(&raw) else { return Ok(()); };
@@ -177,8 +178,13 @@ proptest! {
             .collect();
         let answers = enumerate_answers(&q, &db);
         prop_assert_eq!(&projected, &answers);
-        for a in &answers {
-            prop_assert!(is_answer(&q, &db, a));
+        // is_answer agrees with the answer set on every τ ∈ U^ℓ
+        let ell = q.num_free_vars() as u32;
+        for code in 0..(universe as u32).pow(ell) {
+            let tau: Vec<Val> = (0..ell)
+                .map(|i| Val(code / (universe as u32).pow(i) % universe as u32))
+                .collect();
+            prop_assert_eq!(is_answer(&q, &db, &tau), answers.contains(&tau), "τ = {:?}", tau);
         }
     }
 
@@ -316,8 +322,8 @@ proptest! {
         // and they have the same answers on a random database
         let db = random_db(universe, &seed);
         prop_assert_eq!(
-            count_answers_via_solutions(&parsed, &db),
-            count_answers_via_solutions(&built, &db)
+            exact_count_answers(&parsed, &db),
+            exact_count_answers(&built, &db)
         );
     }
 
@@ -344,9 +350,9 @@ proptest! {
         // the paper's rewriting: replace y by x everywhere
         let reference = {
             let q = parse_query("ans(x) :- R2(x, z), R2(z, x)").unwrap();
-            count_answers_via_solutions(&q, &db)
+            exact_count_answers(&q, &db)
         };
-        prop_assert_eq!(count_answers_via_solutions(&with_eq, &db), reference);
+        prop_assert_eq!(exact_count_answers(&with_eq, &db), reference);
 
         // Equating two free variables must be rejected.
         let mut b2 = QueryBuilder::new();
