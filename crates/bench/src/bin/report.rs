@@ -20,11 +20,12 @@ use cqc_core::{
     Engine, EngineBuilder, EstimateReport,
 };
 use cqc_data::{Structure, StructureBuilder, Val};
-use cqc_hom::{BacktrackingDecider, DecompositionDecider};
+use cqc_hom::{for_each_homomorphism, HomDecider, HomInstance, HybridDecider};
 use cqc_hypergraph::adaptive::adaptive_width_bounds;
 use cqc_hypergraph::fwidth::{minimise_width, WidthMeasure};
 use cqc_hypergraph::treewidth::treewidth_exact;
 use cqc_query::{enumerate_answers, query_hypergraph, Query};
+use cqc_runtime::Runtime;
 use cqc_workloads::graphs::random_ternary_database;
 use cqc_workloads::{
     clique_query, erdos_renyi, footnote4_star_query, graph_database, hyperchain_query, path_query,
@@ -32,6 +33,7 @@ use cqc_workloads::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 
 /// An experiment's name and its runner, which takes the `--large` flag.
 type Experiment = (&'static str, fn(bool));
@@ -538,8 +540,12 @@ fn experiment_widths() {
     ];
     for (name, h) in families {
         let tw = treewidth_exact(&h).0;
-        let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth);
-        let (fhw, _) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+        let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
+        let (fhw, _) = minimise_width(
+            &h,
+            WidthMeasure::FractionalHypertreewidth,
+            &Runtime::serial(),
+        );
         let aw = adaptive_width_bounds(&h, 2);
         row(&[
             name,
@@ -608,39 +614,84 @@ fn experiment_ablation_naive() {
     ]);
 }
 
-/// A3 — ablation: the two Hom deciders behind the FPTRAS oracle, on a
-/// 6-cycle pattern against sparse random digraphs of growing size.
+/// A3 — ablation: the memoised tree-decomposition decision behind the
+/// FPTRAS oracle vs the plain descent (the first homomorphism in element
+/// order, no memo), on a 6-cycle pattern against sparse random digraphs
+/// and on an `L`-edge path against `L` layers of 4 with complete bipartite
+/// edges between consecutive layers (no homomorphism: the longest path has
+/// `L − 1` edges, so the plain descent walks every partial path).
 fn experiment_hom_engines() {
-    println!("\n== A3 (ablation): Hom engines, 6-cycle pattern ==");
+    println!("\n== A3 (ablation): Hom decision, memoised decomposition search vs plain descent ==");
     header(&[
-        "n",
+        "pattern",
+        "target",
         "edges",
         "hom?",
-        "backtracking ms",
-        "decomposition DP ms",
+        "plain descent ms",
+        "memoised ms",
     ]);
-    let mut pb = StructureBuilder::new(6);
-    pb.relation("E", 2);
-    for i in 0..6u32 {
-        pb.fact("E", &[i, (i + 1) % 6]).unwrap();
-    }
-    let pattern = pb.build();
-    let (bt, dp) = (BacktrackingDecider::new(), DecompositionDecider::new());
+    let cycle = directed_graph(6, (0..6).map(|i| (i, (i + 1) % 6)));
     for n in [20usize, 40, 80] {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let g = erdos_renyi(n, 4.0 / n as f64, &mut rng);
         let target = graph_database(&g, "E", false);
-        let (bt_hom, bt_ms) = mean_ms(10, || bt.decide(&pattern, &target));
-        let (dp_hom, dp_ms) = mean_ms(10, || dp.decide(&pattern, &target));
-        assert_eq!(bt_hom, dp_hom, "the deciders disagree at n = {n}");
-        row(&[
-            n.to_string(),
-            g.edges.len().to_string(),
-            bt_hom.to_string(),
-            format!("{bt_ms:.3}"),
-            format!("{dp_ms:.3}"),
-        ]);
+        hom_engines_row("6-cycle", &cycle, format!("G(n={n}, 4/n)"), &target, 200);
     }
+    for layers in [8usize, 10, 12] {
+        let path = directed_graph(layers + 1, (0..layers).map(|i| (i, i + 1)));
+        let dag = directed_graph(
+            4 * layers,
+            (0..4 * (layers - 1)).flat_map(|u| (0..4).map(move |j| (u, (u / 4 + 1) * 4 + j))),
+        );
+        hom_engines_row(
+            &format!("{layers}-edge path"),
+            &path,
+            format!("{layers} layers × 4"),
+            &dag,
+            3,
+        );
+    }
+}
+
+/// One `hom-engines` row: both searches on `pattern → target`, each timed
+/// from the two structures over `reps` runs.
+fn hom_engines_row(
+    pattern_name: &str,
+    pattern: &Structure,
+    target_name: String,
+    target: &Structure,
+    reps: u32,
+) {
+    let (plain, plain_ms) = mean_ms(reps, || {
+        let inst = HomInstance::new(pattern, target);
+        let order: Vec<usize> = (0..inst.num_vars()).collect();
+        let domains = inst.initial_domains();
+        for_each_homomorphism(&inst, &order, &domains, &mut |_| ControlFlow::Break(())).is_break()
+    });
+    let decider = HybridDecider::new();
+    let (memo, memo_ms) = mean_ms(reps, || decider.decide(pattern, target));
+    assert_eq!(
+        plain, memo,
+        "the searches disagree on {pattern_name} → {target_name}"
+    );
+    row(&[
+        pattern_name.into(),
+        target_name,
+        target.fact_count().to_string(),
+        memo.to_string(),
+        format!("{plain_ms:.3}"),
+        format!("{memo_ms:.3}"),
+    ]);
+}
+
+/// A digraph over `E` on `n` vertices.
+fn directed_graph(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Structure {
+    let mut b = StructureBuilder::new(n);
+    b.relation("E", 2);
+    for (u, v) in edges {
+        b.fact("E", &[u as u32, v as u32]).unwrap();
+    }
+    b.build()
 }
 
 /// A4 — ablation: the DLM FPTRAS vs naive Monte Carlo (20k samples) wall

@@ -7,6 +7,7 @@ use cqc_hypergraph::adaptive::adaptive_width_bounds;
 use cqc_hypergraph::fwidth::{minimise_width, WidthMeasure};
 use cqc_hypergraph::treewidth::{treewidth_exact, treewidth_upper_bound};
 use cqc_query::{query_hypergraph, Query, QueryClass};
+use cqc_runtime::Runtime;
 use std::fmt::Write as _;
 
 /// Everything `classify` computes, exposed for tests and for embedding.
@@ -40,8 +41,12 @@ pub fn classify_query(query: &Query) -> Classification {
     } else {
         (treewidth_upper_bound(&h).0, false)
     };
-    let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth);
-    let (fhw, _) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+    let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
+    let (fhw, _) = minimise_width(
+        &h,
+        WidthMeasure::FractionalHypertreewidth,
+        &Runtime::serial(),
+    );
     let aw = adaptive_width_bounds(&h, 3);
     let class = query.class();
     let scheme = match class {

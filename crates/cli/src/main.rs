@@ -8,11 +8,14 @@ fn main() {
         // Audit violations are findings, not usage errors: print the
         // diagnostics themselves and exit 1 (scriptable, like a linter).
         Err(cqc_cli::CliError::Audit(report)) => print!("{report}"),
-        Err(err) => {
+        // Only a malformed command line gets the usage text; any other
+        // error is the one line that explains it.
+        Err(err @ cqc_cli::CliError::Usage(_)) => {
             eprintln!("error: {err}");
             eprintln!();
             eprintln!("{}", cqc_cli::USAGE);
         }
+        Err(err) => eprintln!("error: {err}"),
     }
     std::process::exit(cqc_cli::exit_code(&result));
 }

@@ -85,11 +85,8 @@ pub fn plan_fpras_with(query: &Query, runtime: &Runtime) -> Result<FprasPlan, Co
     // from the enclosing `prepare` span (0 when prepared standalone).
     let _span =
         cqc_obs::trace::Span::enter("decompose", split_seed(cqc_obs::trace::current_span(), 1));
-    let (fhw, td) = cqc_hypergraph::fwidth::minimise_width_par(
-        &h,
-        WidthMeasure::FractionalHypertreewidth,
-        runtime,
-    );
+    let (fhw, td) =
+        cqc_hypergraph::fwidth::minimise_width(&h, WidthMeasure::FractionalHypertreewidth, runtime);
     let nice = td.into_nice();
     nice.validate_nice().map_err(CoreError::plan_internal)?;
     let (shape, bags) = shape_and_bags(&nice);

@@ -3,13 +3,9 @@
 //!
 //! `descend` assigns variables in a given order; the candidates for a
 //! variable are the values every watched constraint mentioning it still
-//! supports, so no dead branch is entered. Every other engine of the crate
-//! calls it:
+//! supports, so no dead branch is entered. Every engine of the crate calls
+//! it:
 //!
-//! * [`bag_solutions()`] — assignments of the bag variables satisfying every
-//!   constraint whose scope lies **inside** the bag; this is the local
-//!   relation of the tree-decomposition dynamic programming
-//!   ([`crate::count_homomorphisms`], [`crate::DecompositionDecider`]).
 //! * [`bag_partial_solutions`] — the `Sol(ϕ, D, B)` semantics of
 //!   Definition 47 / Lemma 48: assignments of the bag variables such that
 //!   **every** constraint, individually, still has a supporting tuple. For a
@@ -18,27 +14,18 @@
 //!   runs in input + output polynomial time, which is what the Theorem 16
 //!   pipeline needs.
 //! * [`for_each_homomorphism`] — every element of `A` in a caller-given
-//!   order under caller-given domains. [`crate::BacktrackingDecider`] runs it
-//!   in minimum-remaining-values order and stops at the first solution;
-//!   `cqc-query` runs it over the positive atoms of a query to enumerate
-//!   exact solutions and answers (Equation (2)).
+//!   order under caller-given domains. `cqc-query` runs it over the positive
+//!   atoms of a query to enumerate exact solutions and answers
+//!   (Equation (2)).
+//! * [`crate::HybridDecider`] — one descent per tree-decomposition node over
+//!   the node's new variables, its separator already assigned (`extend`).
 
 use crate::instance::HomInstance;
-use cqc_data::{Structure, Val};
+use cqc_data::{Structure, SymbolId, Val};
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::ops::ControlFlow;
-
-/// Assignments (in `bag` order) of the bag variables that satisfy every
-/// constraint of the instance whose scope is contained in `bag`.
-/// `domains[v]` (sorted ascending) bounds the values considered for `v`.
-/// Rows come out in lexicographic bag order.
-pub fn bag_solutions(inst: &HomInstance<'_>, bag: &[usize], domains: &[Vec<Val>]) -> Vec<Vec<Val>> {
-    let local: Vec<usize> = (0..inst.constraints.len())
-        .filter(|&ci| inst.constraints[ci].vars.iter().all(|v| bag.contains(v)))
-        .collect();
-    collect_rows(inst, bag, &local, domains)
-}
+use std::rc::Rc;
 
 /// The `Sol(ϕ, D, B)` relation of Definition 47 computed for the pattern
 /// structure `a` over the data structure `b`: assignments of the elements in
@@ -48,7 +35,12 @@ pub fn bag_solutions(inst: &HomInstance<'_>, bag: &[usize], domains: &[Vec<Val>]
 pub fn bag_partial_solutions(a: &Structure, b: &Structure, bag: &[usize]) -> Vec<Vec<Val>> {
     let inst = HomInstance::new(a, b);
     let all: Vec<usize> = (0..inst.constraints.len()).collect();
-    collect_rows(&inst, bag, &all, &inst.initial_domains())
+    let mut rows = Vec::new();
+    let _ = descend(&inst, bag, &all, &inst.initial_domains(), &mut |asg| {
+        rows.push(bag.iter().map(|&v| asg[v].expect("assigned")).collect());
+        ControlFlow::Continue(())
+    });
+    rows
 }
 
 /// Call `emit` with every homomorphism `A → B` of `inst` (a value per element
@@ -73,33 +65,76 @@ pub fn for_each_homomorphism(
     })
 }
 
-/// Every assignment [`descend`] reaches, projected onto `order`.
-fn collect_rows(
-    inst: &HomInstance<'_>,
-    order: &[usize],
-    watched: &[usize],
-    domains: &[Vec<Val>],
-) -> Vec<Vec<Val>> {
-    let mut rows = Vec::new();
-    let _ = descend(inst, order, watched, domains, &mut |asg| {
-        rows.push(order.iter().map(|&v| asg[v].expect("assigned")).collect());
-        ControlFlow::Continue(())
-    });
-    rows
-}
-
 /// A watched constraint that mentions the variable assigned at one level of
 /// the descent.
-struct Step {
+pub(crate) struct Step {
     /// Index into `inst.constraints`.
     ci: usize,
     /// The positions of the level's variable in the constraint.
     at: Vec<usize>,
-    /// The positions holding variables assigned at earlier levels.
+    /// The positions holding variables bound before the level: seeded ones
+    /// or those of earlier levels.
     bound: Vec<usize>,
-    /// With no position bound, the values the constraint supports do not
-    /// depend on the assignment: computed on first use, once per descent.
-    unbound: OnceCell<Vec<Val>>,
+    /// With no position bound, the values the constraint supports depend
+    /// only on its symbol and `at`: the entry of [`Projections`] that every
+    /// such step shares, computed on first use.
+    unbound: Option<Rc<OnceCell<Vec<Val>>>>,
+}
+
+/// The values a symbol's relation supports at a set of positions (equal
+/// there), by symbol and positions; shared by the steps with nothing bound.
+pub(crate) type Projections = Vec<(SymbolId, Vec<usize>, Rc<OnceCell<Vec<Val>>>)>;
+
+/// The step table of a descent over `order` that starts from an assignment
+/// binding the `seeded` variables: for each level, the watched constraints
+/// that mention its variable. Steps with nothing bound take their cached
+/// values from `projections`.
+pub(crate) fn steps(
+    inst: &HomInstance<'_>,
+    order: &[usize],
+    watched: &[usize],
+    seeded: &[usize],
+    projections: &mut Projections,
+) -> Vec<Vec<Step>> {
+    order
+        .iter()
+        .enumerate()
+        .map(|(level, var)| {
+            let earlier = &order[..level];
+            watched
+                .iter()
+                .filter_map(|&ci| {
+                    let c = &inst.constraints[ci];
+                    let at: Vec<usize> = (0..c.vars.len()).filter(|&p| c.vars[p] == *var).collect();
+                    if at.is_empty() {
+                        return None;
+                    }
+                    let bound: Vec<usize> = (0..c.vars.len())
+                        .filter(|&p| earlier.contains(&c.vars[p]) || seeded.contains(&c.vars[p]))
+                        .collect();
+                    let unbound = bound.is_empty().then(|| {
+                        match projections
+                            .iter()
+                            .find(|(sym, p, _)| *sym == c.sym && *p == at)
+                        {
+                            Some((_, _, cell)) => cell.clone(),
+                            None => {
+                                let cell = Rc::default();
+                                projections.push((c.sym, at.clone(), Rc::clone(&cell)));
+                                cell
+                            }
+                        }
+                    });
+                    Some(Step {
+                        ci,
+                        at,
+                        bound,
+                        unbound,
+                    })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Assign `order` one variable at a time and call `emit` with every complete
@@ -113,12 +148,12 @@ struct Step {
 /// order, so assignments are emitted in lexicographic `order` order. `emit`
 /// returns [`ControlFlow::Break`] to stop the descent, which then returns
 /// `Break` too.
-pub(crate) fn descend(
+fn descend(
     inst: &HomInstance<'_>,
     order: &[usize],
     watched: &[usize],
     domains: &[Vec<Val>],
-    emit: &mut dyn FnMut(&[Option<Val>]) -> ControlFlow<()>,
+    emit: &mut dyn FnMut(&mut [Option<Val>]) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     // A watched constraint disjoint from `order` only needs some tuple at all
     // (Definition 47 requires every atom to be individually extendable).
@@ -129,47 +164,30 @@ pub(crate) fn descend(
     if !untouched_supported {
         return ControlFlow::Continue(());
     }
-    let steps: Vec<Vec<Step>> = order
-        .iter()
-        .enumerate()
-        .map(|(level, var)| {
-            let earlier = &order[..level];
-            watched
-                .iter()
-                .filter_map(|&ci| {
-                    let vars = &inst.constraints[ci].vars;
-                    let at: Vec<usize> = (0..vars.len()).filter(|&p| vars[p] == *var).collect();
-                    (!at.is_empty()).then(|| Step {
-                        ci,
-                        at,
-                        bound: (0..vars.len())
-                            .filter(|&p| earlier.contains(&vars[p]))
-                            .collect(),
-                        unbound: OnceCell::new(),
-                    })
-                })
-                .collect()
-        })
-        .collect();
+    let steps = steps(inst, order, watched, &[], &mut Projections::new());
     let mut assignment: Vec<Option<Val>> = vec![None; inst.num_vars()];
-    descend_from(inst, order, &steps, domains, 0, &mut assignment, emit)
+    extend(inst, order, &steps, domains, &mut assignment, emit)
 }
 
-fn descend_from(
+/// The descent over `order` with the step table `steps` (built by [`steps`]
+/// for the variables `assignment` already binds), from `assignment`. It
+/// emits like `descend`; `emit` may assign variables outside `order` and
+/// the seeded ones (the decision's child descents do). The variables of
+/// `order` are unassigned again on return, unless `emit` breaks.
+pub(crate) fn extend(
     inst: &HomInstance<'_>,
     order: &[usize],
     steps: &[Vec<Step>],
     domains: &[Vec<Val>],
-    level: usize,
     assignment: &mut [Option<Val>],
-    emit: &mut dyn FnMut(&[Option<Val>]) -> ControlFlow<()>,
+    emit: &mut dyn FnMut(&mut [Option<Val>]) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let Some(&var) = order.get(level) else {
+    let Some((&var, rest)) = order.split_first() else {
         return emit(assignment);
     };
-    for val in candidates(inst, &steps[level], &domains[var], assignment) {
+    for val in candidates(inst, &steps[0], &domains[var], assignment) {
         assignment[var] = Some(val);
-        descend_from(inst, order, steps, domains, level + 1, assignment, emit)?;
+        extend(inst, rest, &steps[1..], domains, assignment, emit)?;
     }
     assignment[var] = None;
     ControlFlow::Continue(())
@@ -185,14 +203,12 @@ fn candidates(
 ) -> Vec<Val> {
     let mut lists: Vec<Cow<'_, [Val]>> = Vec::with_capacity(steps.len());
     for step in steps {
-        let list = if step.bound.is_empty() {
-            Cow::Borrowed(
-                step.unbound
-                    .get_or_init(|| supported(inst, step, assignment))
+        let list = match &step.unbound {
+            Some(cell) => Cow::Borrowed(
+                cell.get_or_init(|| supported(inst, step, assignment))
                     .as_slice(),
-            )
-        } else {
-            Cow::Owned(supported(inst, step, assignment))
+            ),
+            None => Cow::Owned(supported(inst, step, assignment)),
         };
         if list.is_empty() {
             return Vec::new();
@@ -212,14 +228,14 @@ fn candidates(
 }
 
 /// The values (ascending, deduplicated) that `step`'s constraint supports for
-/// its variable given the values `assignment` binds at its earlier positions.
+/// its variable given the values `assignment` binds at its bound positions.
 fn supported(inst: &HomInstance<'_>, step: &Step, assignment: &[Option<Val>]) -> Vec<Val> {
     let c = &inst.constraints[step.ci];
     let rel = inst.b.relation(c.sym);
     let key: Vec<(usize, Val)> = step
         .bound
         .iter()
-        .map(|&p| (p, assignment[c.vars[p]].expect("bound at an earlier level")))
+        .map(|&p| (p, assignment[c.vars[p]].expect("bound before the level")))
         .collect();
     let mut supported: Vec<Val> = Vec::new();
     let mut visit = |t: &[Val]| {
@@ -249,6 +265,14 @@ mod tests {
     use super::*;
     use cqc_data::StructureBuilder;
 
+    fn structure(n: usize, facts: &[(&str, &[u32])]) -> Structure {
+        let mut b = StructureBuilder::new(n);
+        for (rel, t) in facts {
+            b.fact(rel, t).unwrap();
+        }
+        b.build()
+    }
+
     fn path_pattern(k: usize) -> Structure {
         let mut b = StructureBuilder::new(k + 1);
         b.relation("E", 2);
@@ -267,21 +291,112 @@ mod tests {
         b.build()
     }
 
+    fn cycle_graph(n: usize) -> Structure {
+        let mut b = StructureBuilder::new(n);
+        b.relation("E", 2);
+        for i in 0..n {
+            b.fact("E", &[i as u32, ((i + 1) % n) as u32]).unwrap();
+        }
+        b.build()
+    }
+
+    fn clique_graph(n: usize) -> Structure {
+        let mut b = StructureBuilder::new(n);
+        b.relation("E", 2);
+        for i in 0..n as u32 {
+            for j in (0..n as u32).filter(|&j| j != i) {
+                b.fact("E", &[i, j]).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    /// Every homomorphism `a → b`, elements assigned in index order.
+    fn homomorphisms(a: &Structure, b: &Structure) -> Vec<Vec<Val>> {
+        let inst = HomInstance::new(a, b);
+        let order: Vec<usize> = (0..a.universe_size()).collect();
+        let mut homs = Vec::new();
+        let _ = for_each_homomorphism(&inst, &order, &inst.initial_domains(), &mut |h| {
+            homs.push(h.to_vec());
+            ControlFlow::Continue(())
+        });
+        homs
+    }
+
     #[test]
-    fn bag_solutions_of_an_edge() {
-        let a = path_pattern(2); // x0 → x1 → x2
-        let b = path_graph(4);
-        let inst = HomInstance::new(&a, &b);
-        let domains = inst.initial_domains();
-        // bag {0, 1}: only the constraint E(0,1) lies inside
-        let sols = bag_solutions(&inst, &[0, 1], &domains);
-        assert_eq!(sols.len(), 3); // edges (0,1), (1,2), (2,3)
-                                   // bag {0, 2}: no constraint inside → full cross product of domains
-        let sols = bag_solutions(&inst, &[0, 2], &domains);
-        assert_eq!(sols.len(), 16);
-        // bag {0,1,2}: both constraints inside → paths of length 2
-        let sols = bag_solutions(&inst, &[0, 1, 2], &domains);
-        assert_eq!(sols.len(), 2); // 0→1→2, 1→2→3
+    fn homomorphism_counts_match_closed_forms() {
+        let two_edges = structure(4, &[("E", &[0, 1]), ("E", &[2, 3])]);
+        let edge_and_isolated = structure(3, &[("E", &[0, 1])]);
+        let cases: Vec<(&str, Structure, Structure, usize)> = vec![
+            // a k-edge path into K_n: n(n-1)^k
+            ("P1 → K2", path_pattern(1), clique_graph(2), 2),
+            ("P1 → K5", path_pattern(1), clique_graph(5), 20),
+            ("P2 → K3", path_pattern(2), clique_graph(3), 12),
+            ("P3 → K3", path_pattern(3), clique_graph(3), 24),
+            ("P2 → K4", path_pattern(2), clique_graph(4), 36),
+            ("P4 → K3", path_pattern(4), clique_graph(3), 48),
+            // a path into a directed n-cycle starts anywhere: n
+            ("P2 → C4", path_pattern(2), cycle_graph(4), 4),
+            ("P5 → C3", path_pattern(5), cycle_graph(3), 3),
+            ("C5 → C4", cycle_graph(5), cycle_graph(4), 0),
+            ("K4 → K3", clique_graph(4), clique_graph(3), 0),
+            (
+                "∅ → K3",
+                StructureBuilder::new(0).build(),
+                clique_graph(3),
+                1,
+            ),
+            // components multiply, an isolated element takes any value
+            (
+                "edge + isolated → K3",
+                edge_and_isolated,
+                clique_graph(3),
+                18,
+            ),
+            ("two edges → K3", two_edges, clique_graph(3), 36),
+        ];
+        for (name, a, b, expected) in cases {
+            let homs = homomorphisms(&a, &b);
+            assert_eq!(homs.len(), expected, "{name}");
+            let inst = HomInstance::new(&a, &b);
+            assert!(homs.iter().all(|h| inst.is_homomorphism(h)), "{name}");
+            assert!(
+                homs.windows(2).all(|w| w[0] < w[1]),
+                "{name}: not ascending"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_variable_constraints() {
+        // pattern E(x, x), E(x, y); the data has one loop, at vertex 1:
+        // x must carry the loop, y any out-neighbour of x
+        let a = structure(2, &[("E", &[0, 0]), ("E", &[0, 1])]);
+        let b = structure(3, &[("E", &[1, 1]), ("E", &[1, 2]), ("E", &[0, 2])]);
+        assert_eq!(
+            homomorphisms(&a, &b),
+            vec![vec![Val(1), Val(1)], vec![Val(1), Val(2)]]
+        );
+    }
+
+    #[test]
+    fn unary_marks_force_images() {
+        // Mark(x), E(x, y) into 0 → 1, 2 → 3 with only 2 marked
+        let a = structure(2, &[("E", &[0, 1]), ("Mark", &[0])]);
+        let b = structure(4, &[("E", &[0, 1]), ("E", &[2, 3]), ("Mark", &[2])]);
+        assert_eq!(homomorphisms(&a, &b), vec![vec![Val(2), Val(3)]]);
+    }
+
+    #[test]
+    fn ternary_relation() {
+        let a = structure(3, &[("R", &[0, 1, 2])]);
+        let b = structure(
+            4,
+            &[("R", &[0, 1, 2]), ("R", &[1, 2, 3]), ("R", &[0, 0, 0])],
+        );
+        assert_eq!(homomorphisms(&a, &b).len(), 3);
+        // middle positions of R tuples: {1, 2, 0}
+        assert_eq!(bag_partial_solutions(&a, &b, &[1]).len(), 3);
     }
 
     #[test]
@@ -294,6 +409,8 @@ mod tests {
         assert_eq!(sols.len(), 2); // (0,1), (1,2) — (2,3) fails: 3 has no out-edge
         assert!(sols.contains(&vec![Val(0), Val(1)]));
         assert!(sols.contains(&vec![Val(1), Val(2)]));
+        // the whole pattern: its homomorphisms, 0→1→2 and 1→2→3
+        assert_eq!(bag_partial_solutions(&a, &b, &[0, 1, 2]).len(), 2);
     }
 
     #[test]
@@ -323,49 +440,5 @@ mod tests {
         };
         let sols = bag_partial_solutions(&a, &empty_b, &[]);
         assert!(sols.is_empty());
-    }
-
-    #[test]
-    fn repeated_variable_constraints() {
-        // pattern with a loop E(x, x); data has one loop at vertex 1
-        let mut ab = StructureBuilder::new(2);
-        ab.relation("E", 2);
-        ab.fact("E", &[0, 0]).unwrap();
-        ab.fact("E", &[0, 1]).unwrap();
-        let a = ab.build();
-        let mut bb = StructureBuilder::new(3);
-        bb.relation("E", 2);
-        bb.fact("E", &[1, 1]).unwrap();
-        bb.fact("E", &[1, 2]).unwrap();
-        bb.fact("E", &[0, 2]).unwrap();
-        let b = bb.build();
-        let inst = HomInstance::new(&a, &b);
-        let domains = inst.initial_domains();
-        let sols = bag_solutions(&inst, &[0, 1], &domains);
-        // x0 must carry the loop (value 1), x1 any out-neighbour of x0: (1,1), (1,2)
-        assert_eq!(sols.len(), 2);
-        assert!(sols.contains(&vec![Val(1), Val(1)]));
-        assert!(sols.contains(&vec![Val(1), Val(2)]));
-    }
-
-    #[test]
-    fn ternary_relation_bags() {
-        let mut ab = StructureBuilder::new(3);
-        ab.relation("R", 3);
-        ab.fact("R", &[0, 1, 2]).unwrap();
-        let a = ab.build();
-        let mut bb = StructureBuilder::new(4);
-        bb.relation("R", 3);
-        bb.fact("R", &[0, 1, 2]).unwrap();
-        bb.fact("R", &[1, 2, 3]).unwrap();
-        bb.fact("R", &[0, 0, 0]).unwrap();
-        let b = bb.build();
-        let inst = HomInstance::new(&a, &b);
-        let domains = inst.initial_domains();
-        let sols = bag_solutions(&inst, &[0, 1, 2], &domains);
-        assert_eq!(sols.len(), 3);
-        let partial = bag_partial_solutions(&a, &b, &[1]);
-        // middle positions of R tuples: {1, 2, 0}
-        assert_eq!(partial.len(), 3);
     }
 }

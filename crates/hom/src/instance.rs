@@ -57,7 +57,7 @@ impl<'a> HomInstance<'a> {
 
     /// Initial domains: for each element of `A`, the values of `U(B)` allowed
     /// by all *unary* constraints on that element. (Non-unary constraints are
-    /// handled during search / DP.)
+    /// handled by the search.)
     pub fn initial_domains(&self) -> Vec<Vec<Val>> {
         let n = self.num_vars();
         let m = self.b.universe_size();
@@ -84,8 +84,9 @@ impl<'a> HomInstance<'a> {
         })
     }
 
-    /// The hypergraph of `A` (one hyperedge per constraint scope); its
-    /// treewidth is the parameter governing [`crate::DecompositionDecider`].
+    /// The hypergraph of `A` (one hyperedge per constraint scope). The
+    /// decision of [`crate::HybridDecider`] searches over a tree
+    /// decomposition of it, so its treewidth bounds the decision's cost.
     pub fn pattern_hypergraph(&self) -> Hypergraph {
         let mut h = Hypergraph::new(self.num_vars());
         for c in &self.constraints {

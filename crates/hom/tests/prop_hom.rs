@@ -1,14 +1,13 @@
-//! Property-based tests for the homomorphism engines: the backtracking
-//! solver, the bounded-treewidth dynamic program of Theorem 31 and the hybrid
-//! dispatcher must all agree with a brute-force existence check, and the
-//! exact counter must agree with brute-force enumeration.
+//! Property-based tests for the homomorphism search: the memoised
+//! tree-decomposition decision must agree with a brute-force existence
+//! check, on small patterns and on patterns large enough to get a heuristic
+//! decomposition, and the enumeration must list exactly the brute-force
+//! homomorphisms.
 
 use cqc_data::{Structure, StructureBuilder, Val};
-use cqc_hom::{
-    count_homomorphisms, BacktrackingDecider, DecompositionDecider, HomDecider, HomInstance,
-    HybridDecider,
-};
+use cqc_hom::{for_each_homomorphism, HomDecider, HomInstance, HybridDecider};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 /// A raw instance: a small pattern structure A over one binary and one unary
 /// relation, and a small target structure B over the same signature.
@@ -43,6 +42,28 @@ fn raw_instance() -> impl Strategy<Value = RawInstance> {
     })
 }
 
+/// 14–16-element patterns (above the decider's exact-treewidth limit of
+/// 13, so they get a heuristic decomposition) over a 2-element target.
+fn large_instance() -> impl Strategy<Value = RawInstance> {
+    (14usize..=16).prop_flat_map(|a_vars| {
+        let an = a_vars as u32;
+        (
+            proptest::collection::vec((0..an, 0..an), 8..24),
+            proptest::collection::vec(0..an, 0..3),
+            proptest::collection::vec((0u32..2, 0u32..2), 0..4),
+            proptest::collection::vec(0u32..2, 0..2),
+        )
+            .prop_map(move |(a_binary, a_unary, b_binary, b_unary)| RawInstance {
+                a_vars,
+                a_binary,
+                a_unary,
+                b_size: 2,
+                b_binary,
+                b_unary,
+            })
+    })
+}
+
 fn build_pair(raw: &RawInstance) -> (Structure, Structure) {
     let mut a = StructureBuilder::new(raw.a_vars);
     a.relation("E", 2);
@@ -65,62 +86,67 @@ fn build_pair(raw: &RawInstance) -> (Structure, Structure) {
     (a.build(), b.build())
 }
 
-/// Brute force over all |U(B)|^|U(A)| assignments.
+/// Every assignment `U(A) → U(B)`, in lexicographic order (element 0
+/// most significant).
+fn assignments(a: &Structure, b: &Structure) -> impl Iterator<Item = Vec<Val>> {
+    let (n, m) = (a.universe_size(), b.universe_size() as u64);
+    (0..m.pow(n as u32)).map(move |code| {
+        (0..n)
+            .map(|i| Val((code / m.pow((n - 1 - i) as u32) % m) as u32))
+            .collect()
+    })
+}
+
+/// Brute force: the homomorphisms among all |U(B)|^|U(A)| assignments.
 fn bruteforce_homomorphisms(a: &Structure, b: &Structure) -> Vec<Vec<Val>> {
     let inst = HomInstance::new(a, b);
-    let n = a.universe_size();
-    let m = b.universe_size();
-    let mut found = Vec::new();
-    let total = (m as u64).pow(n as u32);
-    for code in 0..total {
-        let mut c = code;
-        let assignment: Vec<Val> = (0..n)
-            .map(|_| {
-                let v = Val((c % m as u64) as u32);
-                c /= m as u64;
-                v
-            })
-            .collect();
-        if inst.is_homomorphism(&assignment) {
-            found.push(assignment);
-        }
-    }
-    found
+    assignments(a, b)
+        .filter(|h| inst.is_homomorphism(h))
+        .collect()
+}
+
+/// Brute force existence, stopping at the first homomorphism.
+fn bruteforce_exists(a: &Structure, b: &Structure) -> bool {
+    let inst = HomInstance::new(a, b);
+    assignments(a, b).any(|h| inst.is_homomorphism(&h))
+}
+
+/// Every homomorphism the descent emits with elements assigned in `order`.
+fn enumerate(a: &Structure, b: &Structure, order: &[usize]) -> Vec<Vec<Val>> {
+    let inst = HomInstance::new(a, b);
+    let mut homs = Vec::new();
+    let _ = for_each_homomorphism(&inst, order, &inst.initial_domains(), &mut |h| {
+        homs.push(h.to_vec());
+        ControlFlow::Continue(())
+    });
+    homs
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// All three deciders agree with brute force on homomorphism existence.
+    /// The decider agrees with brute force on homomorphism existence.
     #[test]
-    fn deciders_agree_with_bruteforce(raw in raw_instance()) {
+    fn decider_agrees_with_bruteforce(raw in raw_instance()) {
         let (a, b) = build_pair(&raw);
-        let truth = !bruteforce_homomorphisms(&a, &b).is_empty();
-        prop_assert_eq!(BacktrackingDecider::new().decide(&a, &b), truth);
-        prop_assert_eq!(DecompositionDecider::new().decide(&a, &b), truth);
-        prop_assert_eq!(HybridDecider::new().decide(&a, &b), truth);
+        prop_assert_eq!(HybridDecider::new().decide(&a, &b), bruteforce_exists(&a, &b));
     }
 
-    /// The exact homomorphism counter (Dalmau–Jonsson-style DP) agrees with
-    /// brute-force enumeration, and `find`/`enumerate` of the backtracking
-    /// engine return genuine homomorphisms.
+    /// The descent enumerates exactly the brute-force homomorphisms, in
+    /// lexicographic order of the given variable order, whatever that order.
     #[test]
-    fn counting_and_enumeration_agree(raw in raw_instance()) {
+    fn enumeration_agrees_with_bruteforce(raw in raw_instance()) {
         let (a, b) = build_pair(&raw);
         let brute = bruteforce_homomorphisms(&a, &b);
-        prop_assert_eq!(count_homomorphisms(&a, &b), brute.len() as u128);
-
-        let bt = BacktrackingDecider::new();
-        let inst = HomInstance::new(&a, &b);
-        match bt.find(&a, &b) {
-            Some(h) => prop_assert!(inst.is_homomorphism(&h)),
-            None => prop_assert!(brute.is_empty()),
-        }
-        let mut enumerated = bt.enumerate(&a, &b);
-        let mut expected = brute.clone();
-        enumerated.sort();
-        expected.sort();
-        prop_assert_eq!(enumerated, expected);
+        let forward: Vec<usize> = (0..a.universe_size()).collect();
+        prop_assert_eq!(&enumerate(&a, &b, &forward), &brute);
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        let mut homs = enumerate(&a, &b, &backward);
+        prop_assert!(homs.windows(2).all(|w| {
+            backward.iter().map(|&v| w[0][v]).lt(backward.iter().map(|&v| w[1][v]))
+        }));
+        homs.sort();
+        prop_assert_eq!(homs, brute);
     }
 
     /// Homomorphisms compose with target extension: adding facts to B can
@@ -129,7 +155,8 @@ proptest! {
     #[test]
     fn adding_target_facts_is_monotone(raw in raw_instance(), extra in proptest::collection::vec((0u32..4, 0u32..4), 0..5)) {
         let (a, b) = build_pair(&raw);
-        let before = count_homomorphisms(&a, &b);
+        let order: Vec<usize> = (0..a.universe_size()).collect();
+        let before = enumerate(&a, &b, &order);
         let mut raw_ext = raw.clone();
         raw_ext.b_binary.extend(
             extra
@@ -137,9 +164,13 @@ proptest! {
                 .filter(|&&(u, v)| (u as usize) < raw.b_size && (v as usize) < raw.b_size),
         );
         let (_, b_ext) = build_pair(&raw_ext);
-        let after = count_homomorphisms(&a, &b_ext);
-        prop_assert!(after >= before, "adding facts removed homomorphisms: {before} -> {after}");
-        prop_assert_eq!(BacktrackingDecider::new().decide(&a, &b), before > 0);
+        let after = enumerate(&a, &b_ext, &order);
+        prop_assert!(
+            before.iter().all(|h| after.contains(h)),
+            "adding facts removed homomorphisms: {} -> {}", before.len(), after.len()
+        );
+        prop_assert_eq!(HybridDecider::new().decide(&a, &b), !before.is_empty());
+        prop_assert_eq!(HybridDecider::new().decide(&a, &b_ext), !after.is_empty());
     }
 
     /// The identity map is always a homomorphism from a structure to itself.
@@ -150,7 +181,8 @@ proptest! {
         let id: Vec<Val> = (0..a.universe_size() as u32).map(Val).collect();
         prop_assert!(inst.is_homomorphism(&id));
         prop_assert!(HybridDecider::new().decide(&a, &a));
-        prop_assert!(count_homomorphisms(&a, &a) >= 1);
+        let order: Vec<usize> = (0..a.universe_size()).collect();
+        prop_assert!(enumerate(&a, &a, &order).contains(&id));
     }
 
     /// A pattern with an `L`-labelled variable has no homomorphism into a
@@ -162,6 +194,19 @@ proptest! {
         raw2.b_unary.clear();
         let (a, b) = build_pair(&raw2);
         prop_assert!(!HybridDecider::new().decide(&a, &b));
-        prop_assert_eq!(count_homomorphisms(&a, &b), 0);
+        let order: Vec<usize> = (0..a.universe_size()).collect();
+        prop_assert!(enumerate(&a, &b, &order).is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On 14–16-element patterns (heuristic decompositions) the decider
+    /// still agrees with brute force over all ≤ 2^16 assignments.
+    #[test]
+    fn decider_agrees_with_bruteforce_on_large_patterns(raw in large_instance()) {
+        let (a, b) = build_pair(&raw);
+        prop_assert_eq!(HybridDecider::new().decide(&a, &b), bruteforce_exists(&a, &b));
     }
 }

@@ -26,6 +26,7 @@ use crate::fractional::{
 use crate::fwidth::{minimise_f_width, minimise_width, WidthMeasure};
 use crate::hypergraph::Hypergraph;
 use crate::lp::{ConstraintOp, Direction, LinearProgram};
+use cqc_runtime::Runtime;
 use std::collections::BTreeSet;
 
 /// Lower and upper bounds on the adaptive width of a hypergraph.
@@ -51,6 +52,7 @@ pub fn mu_width(h: &Hypergraph, mu: &FractionalIndependentSet) -> f64 {
         |_, bag: &BTreeSet<usize>| bag.iter().map(|&v| mu.weights[v]).sum::<f64>(),
         8,
         32,
+        &Runtime::serial(),
     );
     w
 }
@@ -112,7 +114,11 @@ fn best_response_mu(h: &Hypergraph, bags: &[BTreeSet<usize>]) -> (f64, Fractiona
 pub fn adaptive_width_bounds(h: &Hypergraph, rounds: usize) -> AdaptiveWidthBounds {
     // Upper bound: fhw(H) (possibly an over-estimate when heuristic, still a
     // valid upper bound on aw because μ(B) ≤ fcn(H[B]) pointwise).
-    let (fhw, _) = minimise_width(h, WidthMeasure::FractionalHypertreewidth);
+    let (fhw, _) = minimise_width(
+        h,
+        WidthMeasure::FractionalHypertreewidth,
+        &Runtime::serial(),
+    );
     let upper = fhw;
 
     // Candidate μ's.
@@ -147,6 +153,7 @@ pub fn adaptive_width_bounds(h: &Hypergraph, rounds: usize) -> AdaptiveWidthBoun
             |_, bag: &BTreeSet<usize>| bag.iter().map(|&v| current_mu.weights[v]).sum::<f64>(),
             8,
             32,
+            &Runtime::serial(),
         );
         let (_, response) = best_response_mu(h, td.bags());
         current_mu = response;

@@ -62,12 +62,15 @@ pub fn width_of_decomposition(
     f_width_of_decomposition(td, |bag| bag_cost(h, bag, measure))
 }
 
-/// Search for a tree decomposition of small `f`-width.
+/// Search for a tree decomposition of small `f`-width, with the candidate
+/// evaluations fanned out over `runtime` (serial callers pass
+/// [`Runtime::serial`]).
 ///
 /// Strategy:
 /// * if `H` has at most `exact_limit` vertices, enumerate **all** elimination
-///   orders (there are `n!`, so `exact_limit` should stay ≤ 8) and keep the
-///   best decomposition;
+///   orders (there are `n!`, so `exact_limit` should stay ≤ 8: the search
+///   then holds at most 8! = 40320 orders of ≤ 8 entries) and keep the best
+///   decomposition;
 /// * otherwise fall back to the min-degree and min-fill heuristic orders plus
 ///   `restarts` random orders, keeping the best.
 ///
@@ -76,37 +79,11 @@ pub fn width_of_decomposition(
 /// the exhaustive regime (and even there only over decompositions induced by
 /// elimination orders, which is exact for treewidth and an upper bound for
 /// other measures — see `docs/ARCHITECTURE.md`, Substitutions).
-pub fn minimise_f_width<F>(
-    h: &Hypergraph,
-    mut f: F,
-    exact_limit: usize,
-    restarts: usize,
-) -> (f64, TreeDecomposition)
-where
-    F: FnMut(&Hypergraph, &BTreeSet<usize>) -> f64,
-{
-    if h.num_vertices() == 0 {
-        return (0.0, TreeDecomposition::single_bag(BTreeSet::new()));
-    }
-    // Stream the candidates (one order held at a time, like the original
-    // Heap's-algorithm loop) — the exhaustive regime enumerates n! orders,
-    // so collecting them first would cost O(n!) peak memory.
-    let mut best: Option<(f64, TreeDecomposition)> = None;
-    for_each_candidate_order(h, exact_limit, restarts, |order| {
-        let (w, td) = evaluate_order(h, order, &mut f);
-        if best.as_ref().map(|(bw, _)| w < *bw).unwrap_or(true) {
-            best = Some((w, td));
-        }
-    });
-    best.expect("at least one decomposition considered")
-}
-
-/// [`minimise_f_width`] with the candidate evaluations fanned out over the
-/// given runtime. Deterministic: the candidate list is identical to the
-/// serial search and the reduction keeps the **first** candidate (in
+///
+/// Deterministic: the reduction keeps the **first** candidate (in
 /// enumeration order) attaining the minimum width, so the winning
 /// decomposition is bit-identical for any thread count.
-pub fn minimise_f_width_par<F>(
+pub fn minimise_f_width<F>(
     h: &Hypergraph,
     f: F,
     exact_limit: usize,
@@ -119,13 +96,12 @@ where
     if h.num_vertices() == 0 {
         return (0.0, TreeDecomposition::single_bag(BTreeSet::new()));
     }
+    let mut orders = Vec::new();
+    for_each_candidate_order(h, exact_limit, restarts, |o| orders.push(o.clone()));
     // Workers fold their slice down to a single local best so at most
-    // O(threads) evaluated decompositions are retained at once (the
-    // exhaustive regime enumerates n! orders — buffering every scored
-    // decomposition would dwarf the planning working set). Slice-local
-    // first-minima merged in slice order with a strict `<` reproduce the
-    // serial search's global first-minimum exactly.
-    let orders = candidate_orders(h, exact_limit, restarts);
+    // O(threads) evaluated decompositions are retained at once. Slice-local
+    // first-minima merged in slice order with a strict `<` are the global
+    // first minimum.
     let slice = runtime.chunk_size(orders.len());
     let slices: Vec<&[EliminationOrder]> = orders.chunks(slice).collect();
     runtime
@@ -134,8 +110,7 @@ where
             |_, chunk| {
                 let mut best: Option<(f64, TreeDecomposition)> = None;
                 for order in chunk.iter() {
-                    let mut g = &f;
-                    let (w, td) = evaluate_order(h, order, &mut g);
+                    let (w, td) = evaluate_order(h, order, &f);
                     if best.as_ref().map(|(bw, _)| w < *bw).unwrap_or(true) {
                         best = Some((w, td));
                     }
@@ -159,13 +134,9 @@ where
 }
 
 /// Build and score the decomposition induced by one elimination order.
-fn evaluate_order<F>(
-    h: &Hypergraph,
-    order: &EliminationOrder,
-    f: &mut F,
-) -> (f64, TreeDecomposition)
+fn evaluate_order<F>(h: &Hypergraph, order: &EliminationOrder, f: &F) -> (f64, TreeDecomposition)
 where
-    F: FnMut(&Hypergraph, &BTreeSet<usize>) -> f64,
+    F: Fn(&Hypergraph, &BTreeSet<usize>) -> f64,
 {
     let mut td = order.decomposition(h);
     td.ensure_all_vertices(h);
@@ -179,11 +150,9 @@ where
 }
 
 /// Visit the candidate elimination orders the width search considers, in a
-/// fixed deterministic enumeration order shared by the serial and parallel
-/// searches: every permutation (Heap's algorithm) in the exhaustive regime,
-/// otherwise the min-degree and min-fill heuristic orders plus `restarts`
-/// xorshift-derived random orders. Visitor-based so the serial search can
-/// stream (one order alive at a time) while the parallel search collects.
+/// fixed deterministic enumeration order: every permutation (Heap's
+/// algorithm) in the exhaustive regime, otherwise the min-degree and
+/// min-fill heuristic orders plus `restarts` xorshift-derived random orders.
 fn for_each_candidate_order(
     h: &Hypergraph,
     exact_limit: usize,
@@ -233,28 +202,15 @@ fn for_each_candidate_order(
     }
 }
 
-/// The candidate orders as a vector (the parallel search's fan-out input).
-fn candidate_orders(h: &Hypergraph, exact_limit: usize, restarts: usize) -> Vec<EliminationOrder> {
-    let mut orders = Vec::new();
-    for_each_candidate_order(h, exact_limit, restarts, |o| orders.push(o.clone()));
-    orders
-}
-
 /// Compute (an upper bound on) the width of `H` under a named measure,
-/// together with a witnessing decomposition. Exhaustive for hypergraphs with
-/// at most 8 vertices.
-pub fn minimise_width(h: &Hypergraph, measure: WidthMeasure) -> (f64, TreeDecomposition) {
-    minimise_f_width(h, |h, bag| bag_cost(h, bag, measure), 8, 32)
-}
-
-/// [`minimise_width`] with the candidate search fanned out over the given
-/// runtime; bit-identical to the serial search for any thread count.
-pub fn minimise_width_par(
+/// together with a witnessing decomposition, searching over `runtime`.
+/// Exhaustive for hypergraphs with at most 8 vertices.
+pub fn minimise_width(
     h: &Hypergraph,
     measure: WidthMeasure,
     runtime: &Runtime,
 ) -> (f64, TreeDecomposition) {
-    minimise_f_width_par(h, |h, bag| bag_cost(h, bag, measure), 8, 32, runtime)
+    minimise_f_width(h, |h, bag| bag_cost(h, bag, measure), 8, 32, runtime)
 }
 
 #[cfg(test)]
@@ -276,7 +232,7 @@ mod tests {
     #[test]
     fn treewidth_via_f_width() {
         let h = cycle(5);
-        let (w, td) = minimise_width(&h, WidthMeasure::Treewidth);
+        let (w, td) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
         assert!(approx(w, 2.0));
         assert!(td.validate(&h).is_ok());
     }
@@ -284,7 +240,11 @@ mod tests {
     #[test]
     fn fhw_of_single_hyperedge_is_one() {
         let h = Hypergraph::from_edges(4, &[&[0, 1, 2, 3]]);
-        let (w, td) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+        let (w, td) = minimise_width(
+            &h,
+            WidthMeasure::FractionalHypertreewidth,
+            &Runtime::serial(),
+        );
         assert!(approx(w, 1.0));
         assert!(td.validate(&h).is_ok());
     }
@@ -296,14 +256,22 @@ mod tests {
         // two vertices violates edge coverage... the best is the single bag,
         // so fhw(triangle) = 1.5.
         let h = cycle(3);
-        let (w, _) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+        let (w, _) = minimise_width(
+            &h,
+            WidthMeasure::FractionalHypertreewidth,
+            &Runtime::serial(),
+        );
         assert!(approx(w, 1.5), "got {w}");
     }
 
     #[test]
     fn fhw_of_path_is_one() {
         let h = Hypergraph::from_edges(4, &[&[0, 1], &[1, 2], &[2, 3]]);
-        let (w, td) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+        let (w, td) = minimise_width(
+            &h,
+            WidthMeasure::FractionalHypertreewidth,
+            &Runtime::serial(),
+        );
         assert!(approx(w, 1.0), "got {w}");
         assert!(td.validate(&h).is_ok());
     }
@@ -311,7 +279,7 @@ mod tests {
     #[test]
     fn hypertreewidth_of_path_is_one() {
         let h = Hypergraph::from_edges(4, &[&[0, 1], &[1, 2], &[2, 3]]);
-        let (w, _) = minimise_width(&h, WidthMeasure::Hypertreewidth);
+        let (w, _) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
         assert!(approx(w, 1.0));
     }
 
@@ -326,9 +294,13 @@ mod tests {
             Hypergraph::from_edges(5, &[&[0, 1, 2], &[2, 3, 4], &[0, 4]]),
             Hypergraph::from_edges(6, &[&[0, 1, 2], &[3, 4, 5], &[0, 3], &[2, 5]]),
         ] {
-            let (tw, _) = minimise_width(&h, WidthMeasure::Treewidth);
-            let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth);
-            let (fhw, _) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+            let (tw, _) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
+            let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
+            let (fhw, _) = minimise_width(
+                &h,
+                WidthMeasure::FractionalHypertreewidth,
+                &Runtime::serial(),
+            );
             assert!(fhw <= hw + 1e-6, "fhw {fhw} > hw {hw}");
             assert!(hw <= tw + 1.0 + 1e-6, "hw {hw} > tw+1 {}", tw + 1.0);
         }
@@ -338,7 +310,7 @@ mod tests {
     fn heuristic_regime_still_valid() {
         // 12 vertices forces the heuristic path
         let h = cycle(12);
-        let (w, td) = minimise_width(&h, WidthMeasure::Treewidth);
+        let (w, td) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
         assert!(td.validate(&h).is_ok());
         assert!(w >= 2.0 - 1e-9);
         assert!(w <= 3.0 + 1e-9);
@@ -365,7 +337,7 @@ mod tests {
     #[test]
     fn empty_hypergraph() {
         let h = Hypergraph::new(0);
-        let (w, _) = minimise_width(&h, WidthMeasure::Treewidth);
+        let (w, _) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
         assert_eq!(w, 0.0);
     }
 }

@@ -11,6 +11,7 @@ use cqc_hypergraph::fractional::{
 use cqc_hypergraph::fwidth::{minimise_width, WidthMeasure};
 use cqc_hypergraph::hypergraph::Hypergraph;
 use cqc_hypergraph::treewidth::{treewidth_exact, treewidth_upper_bound};
+use cqc_runtime::Runtime;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -151,8 +152,8 @@ proptest! {
         let covered: BTreeSet<usize> = h.edges().iter().flat_map(|e| e.iter().copied()).collect();
         prop_assume!(covered.len() == h.num_vertices());
         let (tw, _) = treewidth_exact(&h);
-        let (hw, td_hw) = minimise_width(&h, WidthMeasure::Hypertreewidth);
-        let (fhw, td_fhw) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+        let (hw, td_hw) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
+        let (fhw, td_fhw) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth, &Runtime::serial());
         prop_assert!(td_hw.validate(&h).is_ok());
         prop_assert!(td_fhw.validate(&h).is_ok());
         prop_assert!(fhw <= hw + 1e-6, "fhw {fhw} > hw {hw}");

@@ -201,6 +201,7 @@ mod tests {
         let (fhw, _) = cqc_hypergraph::fwidth::minimise_width(
             &h,
             cqc_hypergraph::fwidth::WidthMeasure::FractionalHypertreewidth,
+            &cqc_runtime::Runtime::serial(),
         );
         assert!(fhw <= 1.0 + 1e-6);
         assert_eq!(spec.query.class(), QueryClass::DCQ);

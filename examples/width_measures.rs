@@ -29,8 +29,12 @@ fn main() {
     for (name, q) in queries {
         let h = query_hypergraph(&q);
         let tw = treewidth_exact(&h).0;
-        let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth);
-        let (fhw, _) = minimise_width(&h, WidthMeasure::FractionalHypertreewidth);
+        let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
+        let (fhw, _) = minimise_width(
+            &h,
+            WidthMeasure::FractionalHypertreewidth,
+            &Runtime::serial(),
+        );
         let aw = adaptive_width_bounds(&h, 1);
         let algorithm = match q.class() {
             QueryClass::CQ => "FPRAS (Thm 16) — bounded fhw",
