@@ -16,11 +16,19 @@
 //! #TA hard), so their union is estimated by Karp–Luby: draw a component with
 //! probability proportional to its estimated size, draw an element from it,
 //! and count it only if the chosen component is the *first* one containing
-//! it; membership is decidable exactly in polynomial time
-//! ([`TreeAutomaton::reachable_states`]). The same draws provide the
-//! node's sample pool (rejection sampling). Per-level error budgets are set
-//! from `ε` and the tree size; see `docs/ARCHITECTURE.md` (Substitutions) for
-//! the relation to ACJR's rigorous analysis.
+//! it. The same draws provide the node's sample pool (rejection sampling).
+//!
+//! Membership needs, for each child `c`, the set of states that read the
+//! drawn labelling's subtree at `c`. Every pooled sample carries that set for
+//! its own node: the ascending list of its states is appended to the
+//! sample's labelling `Vec`, computed once when the sample is pooled from its
+//! label and the lists of the child samples it was drawn from. A trial then
+//! tests every component against the lists of the child samples it picked,
+//! without re-running the automaton over the subtree
+//! ([`TreeAutomaton::reachable_states`], which a debug build uses to check
+//! each carried list). Per-level error budgets are set from `ε` and the tree
+//! size; see `docs/ARCHITECTURE.md` (Substitutions) for the relation to
+//! ACJR's rigorous analysis.
 
 use crate::automaton::{TransitionTarget, TreeAutomaton};
 use crate::tree::TreeShape;
@@ -66,7 +74,38 @@ impl TaApproxConfig {
 #[derive(Debug, Clone)]
 struct NodeStateInfo {
     estimate: f64,
+    /// Pooled samples of `L(t, q)`. Each is a labelling of the whole shape
+    /// (only the subtree of `t` is meaningful) followed by the ascending
+    /// list of the states that read that subtree at `t`.
     samples: Vec<Vec<usize>>,
+}
+
+/// The transitions of an automaton grouped by label, each group in
+/// ascending source-state order, so a node's reading states come out
+/// ascending and deduplicated in one pass.
+struct TransitionsByLabel(Vec<Vec<(usize, TransitionTarget)>>);
+
+impl TransitionsByLabel {
+    fn new(a: &TreeAutomaton) -> Self {
+        let mut by_label = vec![Vec::new(); a.num_labels()];
+        for q in 0..a.num_states() {
+            for &(label, target) in a.transitions_from(q) {
+                by_label[label].push((q, target));
+            }
+        }
+        TransitionsByLabel(by_label)
+    }
+
+    /// Append to `out` the states, ascending, that read a node labelled
+    /// `label` whose children are read by the states in `children` (one
+    /// ascending list per child).
+    fn reading_states(&self, label: usize, children: &[&[usize]], out: &mut Vec<usize>) {
+        for &(q, target) in &self.0[label] {
+            if out.last() != Some(&q) && target.fires(children, reads) {
+                out.push(q);
+            }
+        }
+    }
 }
 
 /// One component of the union defining `L(t, q)`.
@@ -134,6 +173,7 @@ pub fn approx_count_fixed_shape_seeded(
     let states_with_transitions: Vec<usize> = (0..a.num_states())
         .filter(|&q| !a.transitions_from(q).is_empty())
         .collect();
+    let by_label = TransitionsByLabel::new(a);
 
     for &t in &order {
         let children = shape.children(t);
@@ -144,8 +184,17 @@ pub fn approx_count_fixed_shape_seeded(
                     return None;
                 }
                 let mut rng = StdRng::seed_from_u64(split_seed2(seed, t as u64, q as u64));
-                let entry =
-                    estimate_union(a, shape, t, children, &info, &components, config, &mut rng);
+                let entry = estimate_union(
+                    a,
+                    &by_label,
+                    shape,
+                    t,
+                    children,
+                    &info,
+                    &components,
+                    config,
+                    &mut rng,
+                );
                 (entry.estimate > 0.0).then_some((q, entry))
             });
         for (q, entry) in entries.into_iter().flatten() {
@@ -164,6 +213,7 @@ pub fn approx_count_fixed_shape_seeded(
 #[allow(clippy::too_many_arguments)]
 fn estimate_union<R: Rng>(
     a: &TreeAutomaton,
+    by_label: &TransitionsByLabel,
     shape: &TreeShape,
     node: usize,
     children: &[usize],
@@ -173,6 +223,26 @@ fn estimate_union<R: Rng>(
     rng: &mut R,
 ) -> NodeStateInfo {
     let total: f64 = components.iter().map(|c| c.weight).sum();
+    // Make a drawn labelling a pooled sample: append the ascending list of
+    // the states that read its subtree at `node`, from its label there and
+    // the lists of the child samples it was drawn from.
+    let mut reading = Vec::new();
+    let mut pooled = |mut labeling: Vec<usize>, picked: &[&[usize]]| {
+        reading.clear();
+        by_label.reading_states(labeling[node], picked, &mut reading);
+        debug_assert_eq!(
+            reading,
+            a.reachable_states(shape, &labeling, node)
+                .iter()
+                .enumerate()
+                .filter_map(|(q, &reads)| reads.then_some(q))
+                .collect::<Vec<_>>(),
+            "carried states at node {node}"
+        );
+        labeling.reserve_exact(reading.len());
+        labeling.extend_from_slice(&reading);
+        labeling
+    };
 
     // Single component: no overlap possible; the estimate is exact relative to
     // the child estimates and sampling is direct. This covers the join and
@@ -181,8 +251,11 @@ fn estimate_union<R: Rng>(
         let c = &components[0];
         let mut samples = Vec::with_capacity(config.sample_pool);
         for _ in 0..config.sample_pool {
-            if let Some(s) = draw_from_component(shape, node, children, info, c, rng) {
-                samples.push(s);
+            if let Some((labeling, picked)) =
+                draw_from_component(shape, node, children, info, c, rng)
+            {
+                let picked = &picked[..children.len()];
+                samples.push(pooled(labeling, picked));
             }
         }
         return NodeStateInfo {
@@ -206,19 +279,20 @@ fn estimate_union<R: Rng>(
             pick -= c.weight;
             idx = i;
         }
-        let Some(labeling) =
+        let Some((labeling, picked)) =
             draw_from_component(shape, node, children, info, &components[idx], rng)
         else {
             continue;
         };
+        let picked = &picked[..children.len()];
         // canonical test: idx is the first component containing the labelling
         let first = components
             .iter()
-            .position(|c| membership(a, shape, node, children, c, &labeling));
+            .position(|c| membership(c, labeling[node], picked));
         if first == Some(idx) {
             canonical += 1;
             if pool.len() < config.sample_pool {
-                pool.push(labeling);
+                pool.push(pooled(labeling, picked));
             }
         }
     }
@@ -230,16 +304,17 @@ fn estimate_union<R: Rng>(
 }
 
 /// Draw a labelling of the subtree rooted at `node` from the given component
-/// (uniformly, relative to the child sample pools). Returns `None` if a
-/// needed child sample pool is empty.
-fn draw_from_component<R: Rng>(
+/// (uniformly, relative to the child sample pools), together with the
+/// carried state lists of the child samples it was drawn from, in child
+/// order. Returns `None` if a needed child sample pool is empty.
+fn draw_from_component<'a, R: Rng>(
     shape: &TreeShape,
     node: usize,
     children: &[usize],
-    info: &[HashMap<usize, NodeStateInfo>],
+    info: &'a [HashMap<usize, NodeStateInfo>],
     component: &Component,
     rng: &mut R,
-) -> Option<Vec<usize>> {
+) -> Option<(Vec<usize>, [&'a [usize]; 2])> {
     // Check every child pool before drawing, so a failed draw uses no
     // randomness.
     let pools: Option<Vec<&Vec<Vec<usize>>>> = component
@@ -253,30 +328,30 @@ fn draw_from_component<R: Rng>(
                 .filter(|s| !s.is_empty())
         })
         .collect();
-    let mut labeling = vec![0usize; shape.num_nodes()];
+    let n = shape.num_nodes();
+    let mut labeling = vec![0usize; n];
     labeling[node] = component.label;
-    for (samples, &c) in pools?.into_iter().zip(children) {
+    let mut picked: [&[usize]; 2] = [&[], &[]];
+    for ((samples, &c), slot) in pools?.into_iter().zip(children).zip(&mut picked) {
         let s = &samples[rng.gen_range(0..samples.len())];
         for u in shape.subtree(c) {
             labeling[u] = s[u];
         }
+        *slot = &s[n..];
     }
-    Some(labeling)
+    Some((labeling, picked))
 }
 
-/// Is the subtree labelling a member of the component's set?
-fn membership(
-    a: &TreeAutomaton,
-    shape: &TreeShape,
-    node: usize,
-    children: &[usize],
-    component: &Component,
-    labeling: &[usize],
-) -> bool {
-    labeling[node] == component.label
-        && component.target.fires(children, |&c, q1| {
-            a.reachable_states(shape, labeling, c)[q1]
-        })
+/// Is a labelling with `label` at the node, whose children are read by the
+/// states in `children` (one ascending list per child), a member of the
+/// component's set?
+fn membership(component: &Component, label: usize, children: &[&[usize]]) -> bool {
+    label == component.label && component.target.fires(children, reads)
+}
+
+/// Does the ascending state list contain `q`?
+fn reads(list: &&[usize], q: usize) -> bool {
+    list.binary_search(&q).is_ok()
 }
 
 #[cfg(test)]

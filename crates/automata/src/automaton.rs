@@ -116,8 +116,7 @@ impl TreeAutomaton {
     }
 
     /// Does the subtree of `tree` rooted at `node` admit a run starting from
-    /// `state`? (Membership test `ψ|_subtree ∈ L(node, state)` used by the
-    /// Karp–Luby union estimation of the approximate counter.)
+    /// `state`? (The membership test `ψ|_subtree ∈ L(node, state)`.)
     pub fn subtree_accepts_from(&self, tree: &LabeledTree, node: usize, state: usize) -> bool {
         self.reachable_states(&tree.shape, &tree.labels, node)[state]
     }

@@ -463,6 +463,67 @@ mod tests {
         }
     }
 
+    /// The 2-path with ACJR forced on a fixed 10-vertex graph, pinned bit for
+    /// bit at three seeds. Every estimate depends on each RNG draw the
+    /// counter makes, so a change in the number or order of its draws fails
+    /// here.
+    #[test]
+    fn forced_acjr_two_path_draws_are_pinned() {
+        let mut b = StructureBuilder::new(10);
+        b.relation("E", 2);
+        for (u, v) in [
+            (0, 1),
+            (0, 2),
+            (1, 2),
+            (1, 3),
+            (2, 4),
+            (3, 4),
+            (3, 5),
+            (4, 6),
+            (5, 6),
+            (5, 7),
+            (6, 8),
+            (7, 8),
+            (7, 9),
+            (8, 9),
+            (9, 0),
+            (2, 7),
+        ] {
+            b.fact("E", &[u, v]).unwrap();
+        }
+        let db = b.build();
+        let q = parse_query("ans(x, y) :- E(x, z), E(z, y)").unwrap();
+        let truth = exact_count_answers(&q, &db) as f64;
+        let cases = [
+            (1, 0x4034_7000_0000_0000_u64), // 20.4375
+            (2, 0x4035_9000_0000_0000),     // 21.5625
+            (3, 0x4035_d000_0000_0000),     // 21.8125
+        ];
+        for (seed, bits) in cases {
+            let r = EngineBuilder::from_config(config(0.25, 0.05, seed))
+                .backend(Backend::Fpras)
+                .exact_state_budget(0)
+                .build()
+                .unwrap()
+                .prepare(&q)
+                .unwrap()
+                .count(&db)
+                .unwrap();
+            assert!(!r.exact);
+            assert!(
+                (r.estimate - truth).abs() <= 0.25 * truth,
+                "seed {seed}: {}",
+                r.estimate
+            );
+            assert_eq!(
+                r.estimate.to_bits(),
+                bits,
+                "seed {seed}: estimate {}",
+                r.estimate
+            );
+        }
+    }
+
     #[test]
     fn triangle_query_with_existential_apex() {
         let q = parse_query("ans(x, y) :- E(x, y), E(y, z), E(x, z)").unwrap();

@@ -56,23 +56,31 @@ impl<'a> HomInstance<'a> {
     }
 
     /// Initial domains: for each element of `A`, the values of `U(B)` allowed
-    /// by all *unary* constraints on that element. (Non-unary constraints are
-    /// handled by the search.)
+    /// by all *unary* constraints on that element, ascending. A constrained
+    /// element starts from the values of its first unary relation and keeps
+    /// those in every other one; an unconstrained element gets all of
+    /// `U(B)`. (Non-unary constraints are handled by the search.)
     pub fn initial_domains(&self) -> Vec<Vec<Val>> {
-        let n = self.num_vars();
-        let m = self.b.universe_size();
-        let mut domains: Vec<Vec<Val>> = Vec::with_capacity(n);
-        for var in 0..n {
-            let mut dom: Vec<Val> = (0..m as u32).map(Val).collect();
-            for c in &self.constraints {
-                if c.vars.len() == 1 && c.vars[0] == var {
-                    let rel = self.b.relation(c.sym);
-                    dom.retain(|&v| rel.contains(&[v]));
-                }
+        let mut marks: Vec<Vec<SymbolId>> = vec![Vec::new(); self.num_vars()];
+        for c in &self.constraints {
+            if let [var] = c.vars[..] {
+                marks[var].push(c.sym);
             }
-            domains.push(dom);
         }
-        domains
+        marks
+            .iter()
+            .map(|syms| match syms.split_first() {
+                None => self.b.universe().collect(),
+                Some((&first, rest)) => {
+                    let mut dom: Vec<Val> = self.b.relation(first).iter().map(|r| r[0]).collect();
+                    for &sym in rest {
+                        let rel = self.b.relation(sym);
+                        dom.retain(|&v| rel.contains(&[v]));
+                    }
+                    dom
+                }
+            })
+            .collect()
     }
 
     /// Check a *full* assignment against every constraint.
@@ -162,6 +170,33 @@ mod tests {
         let dom = inst.initial_domains();
         assert_eq!(dom[0], vec![Val(1)]);
         assert_eq!(dom[1].len(), 3);
+    }
+
+    /// Element 0 carries two marks (the domain is their intersection),
+    /// element 1 none (all of `U(B)`), element 2 a mark that is empty in `B`.
+    #[test]
+    fn initial_domains_intersect_marks() {
+        let marks = ["P", "Q", "Empty"];
+        let mut ab = StructureBuilder::new(3);
+        let mut bb = StructureBuilder::new(5);
+        for mark in marks {
+            ab.relation(mark, 1);
+            bb.relation(mark, 1);
+        }
+        ab.fact("P", &[0]).unwrap();
+        ab.fact("Q", &[0]).unwrap();
+        ab.fact("Empty", &[2]).unwrap();
+        for v in [4, 1, 2] {
+            bb.fact("P", &[v]).unwrap();
+        }
+        for v in [0, 2, 3, 4] {
+            bb.fact("Q", &[v]).unwrap();
+        }
+        let (a, b) = (ab.build(), bb.build());
+        let dom = HomInstance::new(&a, &b).initial_domains();
+        assert_eq!(dom[0], vec![Val(2), Val(4)]);
+        assert_eq!(dom[1], b.universe().collect::<Vec<_>>());
+        assert!(dom[2].is_empty());
     }
 
     #[test]
