@@ -4,7 +4,7 @@
 //! For every tree node `t` (bottom-up) and every automaton state `q`, the
 //! algorithm maintains an estimate of `|L(t, q)|` — the number of labellings
 //! of the subtree rooted at `t` that admit a run starting from `q` — together
-//! with a pool of (approximately) uniform sample labellings from `L(t, q)`.
+//! with a pool of (approximately) uniform samples from `L(t, q)`.
 //! The set `L(t, q)` decomposes into a union of *components*, one per
 //! transition `(q, σ) → …`:
 //!
@@ -19,16 +19,18 @@
 //! it. The same draws provide the node's sample pool (rejection sampling).
 //!
 //! Membership needs, for each child `c`, the set of states that read the
-//! drawn labelling's subtree at `c`. Every pooled sample carries that set for
-//! its own node: the ascending list of its states is appended to the
-//! sample's labelling `Vec`, computed once when the sample is pooled from its
-//! label and the lists of the child samples it was drawn from. A trial then
-//! tests every component against the lists of the child samples it picked,
-//! without re-running the automaton over the subtree
-//! ([`TreeAutomaton::reachable_states`], which a debug build uses to check
-//! each carried list). Per-level error budgets are set from `ε` and the tree
-//! size; see `docs/ARCHITECTURE.md` (Substitutions) for the relation to
-//! ACJR's rigorous analysis.
+//! drawn labelling's subtree at `c`, and nothing else: a drawn labelling is
+//! never read again (its label at the node is the drawn component's). So a
+//! pooled sample is only the id of its *reading list*, the ascending list
+//! of the states that read its subtree at its node, in that node's
+//! list table. Once all states of a node are estimated, one sequential
+//! step interns the pooled samples: each distinct (label, child sample ids)
+//! gets its list computed once, from the label and the child lists, and
+//! stored once. A Karp–Luby trial draws child sample ids and tests every
+//! component against the child lists they name, allocating nothing and
+//! never re-running the automaton over the subtree. Per-level error budgets
+//! are set from `ε` and the tree size; see `docs/ARCHITECTURE.md`
+//! (Substitutions) for the relation to ACJR's rigorous analysis.
 
 use crate::automaton::{TransitionTarget, TreeAutomaton};
 use crate::tree::TreeShape;
@@ -74,35 +76,77 @@ impl TaApproxConfig {
 #[derive(Debug, Clone)]
 struct NodeStateInfo {
     estimate: f64,
-    /// Pooled samples of `L(t, q)`. Each is a labelling of the whole shape
-    /// (only the subtree of `t` is meaningful) followed by the ascending
-    /// list of the states that read that subtree at `t`.
-    samples: Vec<Vec<usize>>,
+    /// Pooled samples of `L(t, q)`, each the id of its reading list in
+    /// `t`'s [`ListTable`].
+    samples: Vec<u32>,
 }
 
-/// The transitions of an automaton grouped by label, each group in
-/// ascending source-state order, so a node's reading states come out
-/// ascending and deduplicated in one pass.
-struct TransitionsByLabel(Vec<Vec<(usize, TransitionTarget)>>);
+/// The reading lists of the samples pooled at one node, one per distinct
+/// (label, child sample ids): list `i` is `states[ends[i - 1]..ends[i]]`
+/// (from 0 for `i = 0`), the ascending states that read the subtree of the
+/// samples naming it.
+#[derive(Debug, Clone, Default)]
+struct ListTable {
+    states: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl ListTable {
+    fn list(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.states[start as usize..self.ends[id] as usize]
+    }
+
+    /// Append the list `fill` writes and return its id.
+    fn push(&mut self, fill: impl FnOnce(&mut Vec<u32>)) -> u32 {
+        fill(&mut self.states);
+        let end = u32::try_from(self.states.len()).expect("list table fits u32 offsets");
+        self.ends.push(end);
+        (self.ends.len() - 1) as u32
+    }
+}
+
+/// A pooled sample before interning: its label at the node and the ids of
+/// the child samples it was drawn from, in child order (unused slots 0).
+type Drawn = (usize, [u32; 2]);
+
+/// The reading lists named by child sample ids, in child order.
+fn child_lists<'a>(children: &[usize], lists: &'a [ListTable], ids: [u32; 2]) -> [&'a [u32]; 2] {
+    let mut out: [&[u32]; 2] = [&[], &[]];
+    for ((slot, &c), id) in out.iter_mut().zip(children).zip(ids) {
+        *slot = lists[c].list(id);
+    }
+    out
+}
+
+/// The transitions of an automaton as `(label, source, target)`, sorted
+/// stably by label: the transitions reading one label are a run in
+/// ascending source order, so a node's reading list comes out ascending
+/// and deduplicated in one pass.
+struct TransitionsByLabel(Vec<(usize, u32, TransitionTarget)>);
 
 impl TransitionsByLabel {
     fn new(a: &TreeAutomaton) -> Self {
-        let mut by_label = vec![Vec::new(); a.num_labels()];
-        for q in 0..a.num_states() {
-            for &(label, target) in a.transitions_from(q) {
-                by_label[label].push((q, target));
-            }
-        }
+        let mut by_label: Vec<_> = a
+            .transitions()
+            .iter()
+            .map(|&(q, label, target)| (label, q as u32, target))
+            .collect();
+        by_label.sort_by_key(|&(label, _, _)| label);
         TransitionsByLabel(by_label)
     }
 
     /// Append to `out` the states, ascending, that read a node labelled
     /// `label` whose children are read by the states in `children` (one
     /// ascending list per child).
-    fn reading_states(&self, label: usize, children: &[&[usize]], out: &mut Vec<usize>) {
-        for &(q, target) in &self.0[label] {
-            if out.last() != Some(&q) && target.fires(children, reads) {
+    fn reading_states(&self, label: usize, children: &[&[u32]], out: &mut Vec<u32>) {
+        let start = self.0.partition_point(|&(l, _, _)| l < label);
+        let mut last = None;
+        for &(_, q, target) in self.0[start..].iter().take_while(|t| t.0 == label) {
+            if last != Some(q) && target.fires(children, reads) {
                 out.push(q);
+                last = Some(q);
             }
         }
     }
@@ -124,7 +168,7 @@ fn components_of(
     q: usize,
 ) -> Vec<Component> {
     let mut components: Vec<Component> = Vec::new();
-    for &(label, target) in a.transitions_from(q) {
+    for &(_, label, target) in a.transitions_from(q) {
         if target.child_states().count() != children.len() {
             continue;
         }
@@ -156,7 +200,8 @@ fn components_of(
 /// `t` draws all of its randomness from the private RNG stream
 /// `split_seed2(seed, t, q)`, so the result is **bit-identical for 1, 2,
 /// or N threads** — parallelism changes only which thread happens to run a
-/// state, never the draws that state makes.
+/// state, never the draws that state makes. The reading lists are interned
+/// afterwards in state order, and their ids never reach an RNG.
 pub fn approx_count_fixed_shape_seeded(
     a: &TreeAutomaton,
     shape: &TreeShape,
@@ -164,109 +209,99 @@ pub fn approx_count_fixed_shape_seeded(
     seed: u64,
     runtime: &Runtime,
 ) -> f64 {
-    let order = shape.postorder();
-    // info[t]: state → (estimate, samples)
-    let mut info: Vec<HashMap<usize, NodeStateInfo>> = vec![HashMap::new(); shape.num_nodes()];
+    let (info, _lists) = fill_pools(a, shape, config, seed, runtime);
+    info[shape.root()]
+        .get(&a.initial())
+        .map_or(0.0, |i| i.estimate)
+}
 
-    // Which states can possibly start a run at some node? Restrict attention
-    // to states appearing on the left of some transition.
+/// Estimate and pool every `(t, q)`, bottom-up. Returns `info[t]`, mapping
+/// each state with a positive estimate to its estimate and samples, and
+/// `lists[t]`, the reading lists the samples at `t` name.
+fn fill_pools(
+    a: &TreeAutomaton,
+    shape: &TreeShape,
+    config: &TaApproxConfig,
+    seed: u64,
+    runtime: &Runtime,
+) -> (Vec<HashMap<usize, NodeStateInfo>>, Vec<ListTable>) {
+    assert!(
+        u32::try_from(a.num_states()).is_ok(),
+        "too many states for u32 state ids"
+    );
+    let mut info: Vec<HashMap<usize, NodeStateInfo>> = vec![HashMap::new(); shape.num_nodes()];
+    let mut lists = vec![ListTable::default(); shape.num_nodes()];
+
+    // Which states can possibly start a run at some node? Restrict
+    // attention to states appearing on the left of some transition.
     let states_with_transitions: Vec<usize> = (0..a.num_states())
         .filter(|&q| !a.transitions_from(q).is_empty())
         .collect();
     let by_label = TransitionsByLabel::new(a);
 
-    for &t in &order {
+    for t in shape.postorder() {
         let children = shape.children(t);
-        let entries: Vec<Option<(usize, NodeStateInfo)>> =
-            runtime.par_map(&states_with_transitions, |_, &q| {
-                let components = components_of(a, children, &info, q);
-                if components.is_empty() {
-                    return None;
-                }
-                let mut rng = StdRng::seed_from_u64(split_seed2(seed, t as u64, q as u64));
-                let entry = estimate_union(
-                    a,
-                    &by_label,
-                    shape,
-                    t,
-                    children,
-                    &info,
-                    &components,
-                    config,
-                    &mut rng,
-                );
-                (entry.estimate > 0.0).then_some((q, entry))
-            });
-        for (q, entry) in entries.into_iter().flatten() {
-            info[t].insert(q, entry);
+        let entries = runtime.par_map(&states_with_transitions, |_, &q| {
+            let components = components_of(a, children, &info, q);
+            if components.is_empty() {
+                return None;
+            }
+            let mut rng = StdRng::seed_from_u64(split_seed2(seed, t as u64, q as u64));
+            let (estimate, drawn) =
+                estimate_union(children, &info, &lists, &components, config, &mut rng);
+            (estimate > 0.0).then_some((q, estimate, drawn))
+        });
+        // Intern the pooled samples' reading lists, in state order.
+        let mut memo: HashMap<Drawn, u32> = HashMap::new();
+        let mut table = ListTable::default();
+        for (q, estimate, drawn) in entries.into_iter().flatten() {
+            let samples = drawn
+                .into_iter()
+                .map(|(label, ids)| {
+                    *memo.entry((label, ids)).or_insert_with(|| {
+                        let picked = child_lists(children, &lists, ids);
+                        let picked = &picked[..children.len()];
+                        table.push(|out| by_label.reading_states(label, picked, out))
+                    })
+                })
+                .collect();
+            info[t].insert(q, NodeStateInfo { estimate, samples });
         }
+        lists[t] = table;
     }
-
-    info[shape.root()]
-        .get(&a.initial())
-        .map(|i| i.estimate)
-        .unwrap_or(0.0)
+    (info, lists)
 }
 
-/// Karp–Luby estimation of `|∪ components|` plus rejection sampling of a pool
-/// of (approximately) uniform members.
-#[allow(clippy::too_many_arguments)]
+/// Karp–Luby estimation of `|∪ components|` plus rejection sampling of a
+/// pool of (approximately) uniform members, each as its label and the ids
+/// of the child samples it was drawn from.
 fn estimate_union<R: Rng>(
-    a: &TreeAutomaton,
-    by_label: &TransitionsByLabel,
-    shape: &TreeShape,
-    node: usize,
     children: &[usize],
     info: &[HashMap<usize, NodeStateInfo>],
+    lists: &[ListTable],
     components: &[Component],
     config: &TaApproxConfig,
     rng: &mut R,
-) -> NodeStateInfo {
+) -> (f64, Vec<Drawn>) {
     let total: f64 = components.iter().map(|c| c.weight).sum();
-    // Make a drawn labelling a pooled sample: append the ascending list of
-    // the states that read its subtree at `node`, from its label there and
-    // the lists of the child samples it was drawn from.
-    let mut reading = Vec::new();
-    let mut pooled = |mut labeling: Vec<usize>, picked: &[&[usize]]| {
-        reading.clear();
-        by_label.reading_states(labeling[node], picked, &mut reading);
-        debug_assert_eq!(
-            reading,
-            a.reachable_states(shape, &labeling, node)
-                .iter()
-                .enumerate()
-                .filter_map(|(q, &reads)| reads.then_some(q))
-                .collect::<Vec<_>>(),
-            "carried states at node {node}"
-        );
-        labeling.reserve_exact(reading.len());
-        labeling.extend_from_slice(&reading);
-        labeling
-    };
 
     // Single component: no overlap possible; the estimate is exact relative to
     // the child estimates and sampling is direct. This covers the join and
     // forget nodes of the Lemma 52 automata, keeping the variance low.
     if components.len() == 1 {
         let c = &components[0];
-        let mut samples = Vec::with_capacity(config.sample_pool);
+        let mut pool = Vec::with_capacity(config.sample_pool);
         for _ in 0..config.sample_pool {
-            if let Some((labeling, picked)) =
-                draw_from_component(shape, node, children, info, c, rng)
-            {
-                let picked = &picked[..children.len()];
-                samples.push(pooled(labeling, picked));
+            if let Some(ids) = draw_from_component(children, info, c, rng) {
+                pool.push((c.label, ids));
             }
         }
-        return NodeStateInfo {
-            estimate: c.weight,
-            samples,
-        };
+        return (c.weight, pool);
     }
 
     let trials = config.trials(components.len());
     let mut canonical = 0usize;
-    let mut pool: Vec<Vec<usize>> = Vec::new();
+    let mut pool = Vec::new();
     for _ in 0..trials {
         // pick a component proportional to weight
         let mut pick = rng.gen::<f64>() * total;
@@ -279,79 +314,63 @@ fn estimate_union<R: Rng>(
             pick -= c.weight;
             idx = i;
         }
-        let Some((labeling, picked)) =
-            draw_from_component(shape, node, children, info, &components[idx], rng)
-        else {
+        let label = components[idx].label;
+        let Some(ids) = draw_from_component(children, info, &components[idx], rng) else {
             continue;
         };
+        let picked = child_lists(children, lists, ids);
         let picked = &picked[..children.len()];
-        // canonical test: idx is the first component containing the labelling
-        let first = components
-            .iter()
-            .position(|c| membership(c, labeling[node], picked));
+        // canonical test: idx is the first component containing the sample
+        let first = components.iter().position(|c| membership(c, label, picked));
         if first == Some(idx) {
             canonical += 1;
             if pool.len() < config.sample_pool {
-                pool.push(pooled(labeling, picked));
+                pool.push((label, ids));
             }
         }
     }
     let p = canonical as f64 / trials as f64;
-    NodeStateInfo {
-        estimate: total * p,
-        samples: pool,
-    }
+    (total * p, pool)
 }
 
-/// Draw a labelling of the subtree rooted at `node` from the given component
-/// (uniformly, relative to the child sample pools), together with the
-/// carried state lists of the child samples it was drawn from, in child
-/// order. Returns `None` if a needed child sample pool is empty.
-fn draw_from_component<'a, R: Rng>(
-    shape: &TreeShape,
-    node: usize,
+/// Draw a member of the component's set, uniformly relative to the child
+/// sample pools: one pooled sample per child, as its id in the child's
+/// [`ListTable`], in child order (unused slots 0). Returns `None`, having
+/// used no randomness, if a needed child pool is empty.
+fn draw_from_component<R: Rng>(
     children: &[usize],
-    info: &'a [HashMap<usize, NodeStateInfo>],
+    info: &[HashMap<usize, NodeStateInfo>],
     component: &Component,
     rng: &mut R,
-) -> Option<(Vec<usize>, [&'a [usize]; 2])> {
-    // Check every child pool before drawing, so a failed draw uses no
-    // randomness.
-    let pools: Option<Vec<&Vec<Vec<usize>>>> = component
-        .target
-        .child_states()
+) -> Option<[u32; 2]> {
+    let mut pools: [&[u32]; 2] = [&[], &[]];
+    for ((slot, q1), &c) in pools
+        .iter_mut()
+        .zip(component.target.child_states())
         .zip(children)
-        .map(|(q1, &c)| {
-            info[c]
-                .get(&q1)
-                .map(|i| &i.samples)
-                .filter(|s| !s.is_empty())
-        })
-        .collect();
-    let n = shape.num_nodes();
-    let mut labeling = vec![0usize; n];
-    labeling[node] = component.label;
-    let mut picked: [&[usize]; 2] = [&[], &[]];
-    for ((samples, &c), slot) in pools?.into_iter().zip(children).zip(&mut picked) {
-        let s = &samples[rng.gen_range(0..samples.len())];
-        for u in shape.subtree(c) {
-            labeling[u] = s[u];
-        }
-        *slot = &s[n..];
+    {
+        *slot = info[c]
+            .get(&q1)
+            .map(|i| &i.samples[..])
+            .filter(|s| !s.is_empty())?;
     }
-    Some((labeling, picked))
+    let mut ids = [0; 2];
+    for (id, pool) in ids.iter_mut().zip(&pools[..children.len()]) {
+        *id = pool[rng.gen_range(0..pool.len())];
+    }
+    Some(ids)
 }
 
-/// Is a labelling with `label` at the node, whose children are read by the
+/// Is a sample with `label` at the node, whose children are read by the
 /// states in `children` (one ascending list per child), a member of the
 /// component's set?
-fn membership(component: &Component, label: usize, children: &[&[usize]]) -> bool {
+fn membership(component: &Component, label: usize, children: &[&[u32]]) -> bool {
     label == component.label && component.target.fires(children, reads)
 }
 
 /// Does the ascending state list contain `q`?
-fn reads(list: &&[usize], q: usize) -> bool {
-    list.binary_search(&q).is_ok()
+fn reads(list: &&[u32], q: usize) -> bool {
+    list.binary_search(&(q as u32)).is_ok()
 }
 
 #[cfg(test)]
@@ -376,51 +395,51 @@ mod tests {
 
     #[test]
     fn empty_language_gives_zero() {
-        let a = TreeAutomaton::new(2, 2, 0);
+        let a = TreeAutomaton::new(2, 2, 0, Vec::new());
         let shape = TreeShape::new(vec![vec![1], vec![]], 0);
         assert_eq!(approx(&a, &shape, 2), 0.0);
     }
 
     /// Root delegates to state 1 or 2 with heavy overlap on leaves.
     fn overlapping_automaton() -> (TreeAutomaton, TreeShape) {
-        let mut a = TreeAutomaton::new(3, 4, 0);
-        a.add_transition(0, 0, TransitionTarget::Unary(1));
-        a.add_transition(0, 0, TransitionTarget::Unary(2));
-        for label in 0..4 {
-            a.add_transition(1, label, TransitionTarget::Leaf);
-        }
-        for label in 0..3 {
-            a.add_transition(2, label, TransitionTarget::Leaf);
-        }
+        let mut transitions = vec![
+            (0, 0, TransitionTarget::Unary(1)),
+            (0, 0, TransitionTarget::Unary(2)),
+        ];
+        transitions.extend((0..4).map(|label| (1, label, TransitionTarget::Leaf)));
+        transitions.extend((0..3).map(|label| (2, label, TransitionTarget::Leaf)));
+        let a = TreeAutomaton::new(3, 4, 0, transitions);
         (a, TreeShape::new(vec![vec![1], vec![]], 0))
     }
 
     /// The root reads label 0 and each leaf reads any of several labels
     /// depending on the delegated state; components overlap substantially.
     fn binary_automaton() -> (TreeAutomaton, TreeShape) {
-        let mut a = TreeAutomaton::new(4, 5, 0);
-        a.add_transition(0, 0, TransitionTarget::Binary(1, 2));
-        a.add_transition(0, 0, TransitionTarget::Binary(2, 3));
-        for label in 0..3 {
-            a.add_transition(1, label, TransitionTarget::Leaf);
-        }
-        for label in 1..5 {
-            a.add_transition(2, label, TransitionTarget::Leaf);
-        }
-        for label in 2..4 {
-            a.add_transition(3, label, TransitionTarget::Leaf);
-        }
+        let mut transitions = vec![
+            (0, 0, TransitionTarget::Binary(1, 2)),
+            (0, 0, TransitionTarget::Binary(2, 3)),
+        ];
+        transitions.extend((0..3).map(|label| (1, label, TransitionTarget::Leaf)));
+        transitions.extend((1..5).map(|label| (2, label, TransitionTarget::Leaf)));
+        transitions.extend((2..4).map(|label| (3, label, TransitionTarget::Leaf)));
+        let a = TreeAutomaton::new(4, 5, 0, transitions);
         (a, TreeShape::new(vec![vec![1, 2], vec![], vec![]], 0))
     }
 
     /// Parity-style automaton with some nondeterminism: accepts chains of
     /// length 4 with labels in {0,1} at even positions and {0} at odd.
     fn chain_automaton() -> (TreeAutomaton, TreeShape) {
-        let mut a = TreeAutomaton::new(2, 2, 0);
-        a.add_transition(0, 0, TransitionTarget::Unary(1));
-        a.add_transition(0, 1, TransitionTarget::Unary(1));
-        a.add_transition(1, 0, TransitionTarget::Unary(0));
-        a.add_transition(1, 0, TransitionTarget::Leaf);
+        let a = TreeAutomaton::new(
+            2,
+            2,
+            0,
+            vec![
+                (0, 0, TransitionTarget::Unary(1)),
+                (0, 1, TransitionTarget::Unary(1)),
+                (1, 0, TransitionTarget::Unary(0)),
+                (1, 0, TransitionTarget::Leaf),
+            ],
+        );
         (
             a,
             TreeShape::new(vec![vec![1], vec![2], vec![3], vec![]], 0),
@@ -478,6 +497,94 @@ mod tests {
         for ((a, shape), seed, bits) in cases {
             let est = approx(&a, &shape, seed);
             assert_eq!(est.to_bits(), bits, "seed {seed}: estimate {est}");
+        }
+    }
+
+    /// The invariant the carried lists rest on, once checked per pooled
+    /// sample by a debug assertion over the whole labelling: at every node
+    /// of a labelled tree, the reading states computed from the node's label
+    /// and its children's reachable states are the node's reachable states.
+    #[test]
+    fn reading_states_match_reachable_states() {
+        let mut rng = StdRng::seed_from_u64(52);
+        for _ in 0..500 {
+            let num_states = rng.gen_range(1..=4_usize);
+            let num_labels = rng.gen_range(1..=3_usize);
+            let transitions = (0..rng.gen_range(1..=12_usize))
+                .map(|_| {
+                    let q1 = rng.gen_range(0..num_states);
+                    let q2 = rng.gen_range(0..num_states);
+                    let target = match rng.gen_range(0..3) {
+                        0 => TransitionTarget::Leaf,
+                        1 => TransitionTarget::Unary(q1),
+                        _ => TransitionTarget::Binary(q1, q2),
+                    };
+                    let q = rng.gen_range(0..num_states);
+                    (q, rng.gen_range(0..num_labels), target)
+                })
+                .collect();
+            let a = TreeAutomaton::new(num_states, num_labels, 0, transitions);
+            let by_label = TransitionsByLabel::new(&a);
+            let shapes = TreeShape::enumerate(rng.gen_range(1..=5_usize));
+            let shape = &shapes[rng.gen_range(0..shapes.len())];
+            let labels: Vec<usize> = (0..shape.num_nodes())
+                .map(|_| rng.gen_range(0..num_labels))
+                .collect();
+            let reachable = |t: usize| -> Vec<u32> {
+                let states = a.reachable_states(shape, &labels, t);
+                (0..num_states as u32)
+                    .filter(|&q| states[q as usize])
+                    .collect()
+            };
+            for t in 0..shape.num_nodes() {
+                let children: Vec<Vec<u32>> =
+                    shape.children(t).iter().map(|&c| reachable(c)).collect();
+                let children: Vec<&[u32]> = children.iter().map(Vec::as_slice).collect();
+                // Appended after an earlier list, as in a `ListTable`.
+                let mut out = vec![num_states as u32 - 1];
+                by_label.reading_states(labels[t], &children, &mut out);
+                assert_eq!(out[1..], reachable(t), "labels {labels:?} at node {t}");
+            }
+        }
+    }
+
+    /// Every state at node 1 reads the one label 1 over a leaf whose states
+    /// all read label 0, as every state at the 2-path's `z` node does: its
+    /// 144 pooled samples name one list, stored once. The estimate bits were
+    /// computed when each sample carried its own copy of the list.
+    #[test]
+    fn shared_label_node_stores_one_list() {
+        let transitions = vec![
+            (0, 2, TransitionTarget::Unary(1)),
+            (0, 2, TransitionTarget::Unary(2)),
+            (0, 3, TransitionTarget::Unary(3)),
+            (0, 3, TransitionTarget::Unary(2)),
+            (1, 1, TransitionTarget::Unary(4)),
+            (1, 1, TransitionTarget::Unary(5)),
+            (2, 1, TransitionTarget::Unary(5)),
+            (2, 1, TransitionTarget::Unary(6)),
+            (3, 1, TransitionTarget::Unary(6)),
+            (3, 1, TransitionTarget::Unary(7)),
+            (4, 0, TransitionTarget::Leaf),
+            (5, 0, TransitionTarget::Leaf),
+            (6, 0, TransitionTarget::Leaf),
+            (7, 0, TransitionTarget::Leaf),
+        ];
+        let a = TreeAutomaton::new(8, 4, 0, transitions);
+        let shape = TreeShape::new(vec![vec![1], vec![2], vec![]], 0);
+        for (seed, bits) in [
+            (6, 0x4001_698a_4eea_9074_u64), // ≈ 2.1765, exact 2
+            (14, 0x4001_38d2_144c_46d1),    // ≈ 2.1527
+        ] {
+            assert_eq!(approx(&a, &shape, seed).to_bits(), bits, "seed {seed}");
+            let root_seed = StdRng::seed_from_u64(seed).gen();
+            let config = TaApproxConfig::new(0.2, 0.05);
+            let (info, lists) = fill_pools(&a, &shape, &config, root_seed, &Runtime::serial());
+            let samples: usize = (1..=3).map(|q| info[1][&q].samples.len()).sum();
+            assert_eq!(samples, 3 * config.sample_pool);
+            assert_eq!(lists[1].ends.len(), 1);
+            assert_eq!(lists[1].list(0), [1, 2, 3]);
+            assert_eq!(lists[2].list(0), [4, 5, 6, 7]);
         }
     }
 }

@@ -34,27 +34,55 @@ impl TransitionTarget {
 
 /// A nondeterministic tree automaton `A = (S, Σ, Δ, s₀)` over binary trees
 /// (Definition 50). States and labels are dense indices.
+///
+/// Built once by [`TreeAutomaton::new`] and never modified. The transitions
+/// are kept in one array sorted by source state, stably, so the transitions
+/// out of a state keep the order they were given in; per-state offsets into
+/// that array make [`TreeAutomaton::transitions_from`] a slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeAutomaton {
     num_states: usize,
     num_labels: usize,
     initial: usize,
+    /// `(source, label, target)`, sorted stably by source.
     transitions: Vec<(usize, usize, TransitionTarget)>,
-    /// `from[q]`: the `(label, target)` transitions out of `q`, in insertion
-    /// order.
-    from: Vec<Vec<(usize, TransitionTarget)>>,
+    /// `transitions[starts[q]..starts[q + 1]]` are the transitions out of
+    /// `q`.
+    starts: Vec<usize>,
 }
 
 impl TreeAutomaton {
-    /// Create an automaton with no transitions.
-    pub fn new(num_states: usize, num_labels: usize, initial: usize) -> Self {
+    /// Build an automaton from its `(state, label, target)` transitions, in
+    /// any source order. The transitions out of each state keep their given
+    /// order (the ACJR counter draws its components in that order).
+    ///
+    /// # Panics
+    /// Panics if `initial`, a state or a label is out of range.
+    pub fn new(
+        num_states: usize,
+        num_labels: usize,
+        initial: usize,
+        mut transitions: Vec<(usize, usize, TransitionTarget)>,
+    ) -> Self {
         assert!(initial < num_states);
+        for &(q, label, target) in &transitions {
+            assert!(q < num_states && label < num_labels);
+            assert!(target.child_states().all(|q1| q1 < num_states));
+        }
+        transitions.sort_by_key(|&(q, _, _)| q);
+        let mut starts = vec![0; num_states + 1];
+        for &(q, _, _) in &transitions {
+            starts[q + 1] += 1;
+        }
+        for q in 0..num_states {
+            starts[q + 1] += starts[q];
+        }
         TreeAutomaton {
             num_states,
             num_labels,
             initial,
-            transitions: Vec::new(),
-            from: vec![Vec::new(); num_states],
+            transitions,
+            starts,
         }
     }
 
@@ -73,22 +101,15 @@ impl TreeAutomaton {
         self.initial
     }
 
-    /// Add a transition `(state, label) → target`.
-    pub fn add_transition(&mut self, state: usize, label: usize, target: TransitionTarget) {
-        assert!(state < self.num_states && label < self.num_labels);
-        assert!(target.child_states().all(|q| q < self.num_states));
-        self.transitions.push((state, label, target));
-        self.from[state].push((label, target));
-    }
-
-    /// All transitions, in insertion order.
+    /// All `(state, label, target)` transitions, sorted stably by state.
     pub fn transitions(&self) -> &[(usize, usize, TransitionTarget)] {
         &self.transitions
     }
 
-    /// All `(label, target)` transitions out of `state`, in insertion order.
-    pub fn transitions_from(&self, state: usize) -> &[(usize, TransitionTarget)] {
-        &self.from[state]
+    /// The `(state, label, target)` transitions out of `state`, in the order
+    /// they were given.
+    pub fn transitions_from(&self, state: usize) -> &[(usize, usize, TransitionTarget)] {
+        &self.transitions[self.starts[state]..self.starts[state + 1]]
     }
 
     /// The states `q` such that the subtree of `shape` rooted at `node`,
@@ -124,10 +145,16 @@ impl TreeAutomaton {
     /// A tiny deterministic example automaton used in tests and docs: accepts
     /// the labelled binary trees in which **every** node carries label 0.
     pub fn all_zero_labels() -> (Self, usize) {
-        let mut a = TreeAutomaton::new(1, 2, 0);
-        a.add_transition(0, 0, TransitionTarget::Leaf);
-        a.add_transition(0, 0, TransitionTarget::Unary(0));
-        a.add_transition(0, 0, TransitionTarget::Binary(0, 0));
+        let a = TreeAutomaton::new(
+            1,
+            2,
+            0,
+            vec![
+                (0, 0, TransitionTarget::Leaf),
+                (0, 0, TransitionTarget::Unary(0)),
+                (0, 0, TransitionTarget::Binary(0, 0)),
+            ],
+        );
         (a, 0)
     }
 }
@@ -178,9 +205,15 @@ mod tests {
         // Accepts single-node trees labelled 0 or 1 via two different states
         // reachable from the initial state? A single-node tree: the run maps
         // the root to s0, so transitions must be from s0 directly.
-        let mut a = TreeAutomaton::new(1, 3, 0);
-        a.add_transition(0, 0, TransitionTarget::Leaf);
-        a.add_transition(0, 1, TransitionTarget::Leaf);
+        let a = TreeAutomaton::new(
+            1,
+            3,
+            0,
+            vec![
+                (0, 0, TransitionTarget::Leaf),
+                (0, 1, TransitionTarget::Leaf),
+            ],
+        );
         let shape = TreeShape::single();
         assert!(a.accepts(&LabeledTree::new(shape.clone(), vec![0])));
         assert!(a.accepts(&LabeledTree::new(shape.clone(), vec![1])));
@@ -192,10 +225,16 @@ mod tests {
         // Accepts label-0 chains of even length: state 0 = even remaining,
         // state 1 = odd remaining; leaf allowed only in state 1 (so total
         // number of nodes is even).
-        let mut a = TreeAutomaton::new(2, 1, 0);
-        a.add_transition(0, 0, TransitionTarget::Unary(1));
-        a.add_transition(1, 0, TransitionTarget::Unary(0));
-        a.add_transition(1, 0, TransitionTarget::Leaf);
+        let a = TreeAutomaton::new(
+            2,
+            1,
+            0,
+            vec![
+                (0, 0, TransitionTarget::Unary(1)),
+                (1, 0, TransitionTarget::Unary(0)),
+                (1, 0, TransitionTarget::Leaf),
+            ],
+        );
         // chain with k nodes
         let chain = |k: usize| {
             let children: Vec<Vec<usize>> = (0..k)
@@ -222,20 +261,27 @@ mod tests {
 
     #[test]
     fn transitions_from_keeps_insertion_order() {
-        let mut a = TreeAutomaton::new(2, 3, 0);
-        a.add_transition(0, 2, TransitionTarget::Unary(1));
-        a.add_transition(1, 0, TransitionTarget::Leaf);
-        a.add_transition(0, 1, TransitionTarget::Leaf);
-        a.add_transition(0, 2, TransitionTarget::Binary(1, 1));
+        let a = TreeAutomaton::new(
+            2,
+            3,
+            0,
+            vec![
+                (0, 2, TransitionTarget::Unary(1)),
+                (1, 0, TransitionTarget::Leaf),
+                (0, 1, TransitionTarget::Leaf),
+                (0, 2, TransitionTarget::Binary(1, 1)),
+            ],
+        );
         assert_eq!(
             a.transitions_from(0),
             &[
-                (2, TransitionTarget::Unary(1)),
-                (1, TransitionTarget::Leaf),
-                (2, TransitionTarget::Binary(1, 1)),
+                (0, 2, TransitionTarget::Unary(1)),
+                (0, 1, TransitionTarget::Leaf),
+                (0, 2, TransitionTarget::Binary(1, 1)),
             ]
         );
-        assert_eq!(a.transitions_from(1), &[(0, TransitionTarget::Leaf)]);
+        assert_eq!(a.transitions_from(1), &[(1, 0, TransitionTarget::Leaf)]);
+        assert_eq!(a.transitions()[3], (1, 0, TransitionTarget::Leaf));
         assert_eq!(a.num_states(), 2);
         assert_eq!(a.num_labels(), 3);
         assert_eq!(a.initial(), 0);

@@ -123,13 +123,19 @@ mod tests {
         // labels {0,1}; states {0 = init, 1, 2}; the root must read label 0
         // and may delegate to state 1 or 2; state 1 accepts leaves labelled 0,
         // state 2 accepts leaves labelled 0 or 1 — overlap on label 0.
-        let mut a = TreeAutomaton::new(3, 2, 0);
-        a.add_transition(0, 0, TransitionTarget::Unary(1));
-        a.add_transition(0, 0, TransitionTarget::Unary(2));
-        a.add_transition(1, 0, TransitionTarget::Leaf);
-        a.add_transition(2, 0, TransitionTarget::Leaf);
-        a.add_transition(2, 1, TransitionTarget::Leaf);
-        a.add_transition(0, 1, TransitionTarget::Binary(1, 2));
+        let a = TreeAutomaton::new(
+            3,
+            2,
+            0,
+            vec![
+                (0, 0, TransitionTarget::Unary(1)),
+                (0, 0, TransitionTarget::Unary(2)),
+                (1, 0, TransitionTarget::Leaf),
+                (2, 0, TransitionTarget::Leaf),
+                (2, 1, TransitionTarget::Leaf),
+                (0, 1, TransitionTarget::Binary(1, 2)),
+            ],
+        );
         for shape in [
             TreeShape::new(vec![vec![1], vec![]], 0),
             TreeShape::new(vec![vec![1, 2], vec![], vec![]], 0),
@@ -145,11 +151,17 @@ mod tests {
     fn projection_style_overlap_is_not_double_counted() {
         // Two states both accept the same leaf labelling — the count must be
         // of *labellings*, not of runs.
-        let mut a = TreeAutomaton::new(3, 1, 0);
-        a.add_transition(0, 0, TransitionTarget::Unary(1));
-        a.add_transition(0, 0, TransitionTarget::Unary(2));
-        a.add_transition(1, 0, TransitionTarget::Leaf);
-        a.add_transition(2, 0, TransitionTarget::Leaf);
+        let a = TreeAutomaton::new(
+            3,
+            1,
+            0,
+            vec![
+                (0, 0, TransitionTarget::Unary(1)),
+                (0, 0, TransitionTarget::Unary(2)),
+                (1, 0, TransitionTarget::Leaf),
+                (2, 0, TransitionTarget::Leaf),
+            ],
+        );
         let shape = TreeShape::new(vec![vec![1], vec![]], 0);
         // single labelling (all label 0), two runs
         assert_eq!(count_labelings_fixed_shape(&a, &shape), 1);
@@ -157,7 +169,7 @@ mod tests {
 
     #[test]
     fn empty_language() {
-        let a = TreeAutomaton::new(2, 2, 0);
+        let a = TreeAutomaton::new(2, 2, 0, Vec::new());
         assert_eq!(count_slice_bruteforce(&a, 3), 0);
         let shape = TreeShape::new(vec![vec![1], vec![]], 0);
         assert_eq!(count_labelings_fixed_shape(&a, &shape), 0);
@@ -165,10 +177,8 @@ mod tests {
 
     #[test]
     fn label_rich_single_node() {
-        let mut a = TreeAutomaton::new(1, 5, 0);
-        for label in [0, 2, 4] {
-            a.add_transition(0, label, TransitionTarget::Leaf);
-        }
+        let leaves = [0, 2, 4].map(|label| (0, label, TransitionTarget::Leaf));
+        let a = TreeAutomaton::new(1, 5, 0, leaves.to_vec());
         assert_eq!(count_slice_bruteforce(&a, 1), 3);
         assert_eq!(count_labelings_fixed_shape(&a, &TreeShape::single()), 3);
     }

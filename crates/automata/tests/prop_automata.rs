@@ -40,16 +40,19 @@ fn raw_automaton() -> impl Strategy<Value = RawAutomaton> {
 }
 
 fn build_automaton(raw: &RawAutomaton) -> TreeAutomaton {
-    let mut a = TreeAutomaton::new(raw.num_states, raw.num_labels, 0);
-    for &(q, sigma, kind, q1, q2) in &raw.transitions {
-        let target = match kind {
-            0 => TransitionTarget::Leaf,
-            1 => TransitionTarget::Unary(q1),
-            _ => TransitionTarget::Binary(q1, q2),
-        };
-        a.add_transition(q, sigma, target);
-    }
-    a
+    let transitions = raw
+        .transitions
+        .iter()
+        .map(|&(q, sigma, kind, q1, q2)| {
+            let target = match kind {
+                0 => TransitionTarget::Leaf,
+                1 => TransitionTarget::Unary(q1),
+                _ => TransitionTarget::Binary(q1, q2),
+            };
+            (q, sigma, target)
+        })
+        .collect();
+    TreeAutomaton::new(raw.num_states, raw.num_labels, 0, transitions)
 }
 
 /// A random small tree shape with at most 5 nodes, drawn from the full
@@ -136,6 +139,20 @@ proptest! {
         }
     }
 
+    /// The approximate counter is bit-identical at every width: the states
+    /// of a node draw from their own RNG streams, and the reading lists they
+    /// pool are interned afterwards in state order.
+    #[test]
+    fn approx_counter_is_width_independent(raw in raw_automaton(), shape in small_shape(), seed in any::<u64>()) {
+        let a = build_automaton(&raw);
+        let cfg = TaApproxConfig::new(0.2, 0.05);
+        let serial = approx_count_fixed_shape_seeded(&a, &shape, &cfg, seed, &Runtime::serial());
+        for width in [2, 3] {
+            let wide = approx_count_fixed_shape_seeded(&a, &shape, &cfg, seed, &Runtime::new(width));
+            prop_assert_eq!(wide.to_bits(), serial.to_bits(), "width {}", width);
+        }
+    }
+
     /// The all-zero-labels automaton accepts exactly one labelling per shape
     /// (every node labelled 0), so its N-slice is the number of shapes.
     #[test]
@@ -153,10 +170,8 @@ proptest! {
     /// more than one node.
     #[test]
     fn leaf_only_automata_reject_internal_nodes(num_labels in 1usize..=3, shape in small_shape()) {
-        let mut a = TreeAutomaton::new(1, num_labels, 0);
-        for sigma in 0..num_labels {
-            a.add_transition(0, sigma, TransitionTarget::Leaf);
-        }
+        let leaves = (0..num_labels).map(|sigma| (0, sigma, TransitionTarget::Leaf));
+        let a = TreeAutomaton::new(1, num_labels, 0, leaves.collect());
         let count = count_labelings_fixed_shape(&a, &shape);
         if shape.num_nodes() == 1 {
             prop_assert_eq!(count, num_labels as u128);

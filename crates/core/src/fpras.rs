@@ -216,7 +216,7 @@ fn build_automaton_in(
     // If the root (empty bag) has no solution, there are no answers at all:
     // represent this with a trivially empty automaton.
     if sols[td.root()].is_empty() {
-        return Ok((TreeAutomaton::new(1, 1, 0), 1));
+        return Ok((TreeAutomaton::new(1, 1, 0, Vec::new()), 1));
     }
 
     // States: (t, α); labels: (t, proj(α, free(ϕ))).
@@ -246,7 +246,7 @@ fn build_automaton_in(
     }
 
     let root_state = state_id[&(td.root(), vec![])];
-    let mut automaton = TreeAutomaton::new(state_id.len(), label_id.len().max(1), root_state);
+    let mut transitions = Vec::new();
 
     // Helper: restriction of α (over bag of t) to the bag of another node.
     let restrict = |from: usize, alpha: &[Val], to_bag: &[usize]| -> Vec<Val> {
@@ -280,7 +280,7 @@ fn build_automaton_in(
             match ch.len() {
                 0 => {
                     // leaf: empty bag, empty assignment
-                    automaton.add_transition(q, lbl, TransitionTarget::Leaf);
+                    transitions.push((q, lbl, TransitionTarget::Leaf));
                 }
                 1 => {
                     let c = ch[0];
@@ -289,7 +289,7 @@ fn build_automaton_in(
                         // B_c ⊆ B_t, drop one variable: deterministic restriction
                         let beta = restrict(t, alpha, &bags[c]);
                         if let Some(&qc) = state_id.get(&(c, beta)) {
-                            automaton.add_transition(q, lbl, TransitionTarget::Unary(qc));
+                            transitions.push((q, lbl, TransitionTarget::Unary(qc)));
                         }
                     } else {
                         // B_t ⊆ B_c, child introduces one variable: one
@@ -297,7 +297,7 @@ fn build_automaton_in(
                         for alpha1 in &sols[c] {
                             if consistent(t, alpha, c, alpha1) {
                                 let qc = state_id[&(c, alpha1.clone())];
-                                automaton.add_transition(q, lbl, TransitionTarget::Unary(qc));
+                                transitions.push((q, lbl, TransitionTarget::Unary(qc)));
                             }
                         }
                     }
@@ -310,7 +310,7 @@ fn build_automaton_in(
                         state_id.get(&(c1, alpha.clone())),
                         state_id.get(&(c2, alpha.clone())),
                     ) {
-                        automaton.add_transition(q, lbl, TransitionTarget::Binary(q1, q2));
+                        transitions.push((q, lbl, TransitionTarget::Binary(q1, q2)));
                     }
                 }
             }
@@ -318,6 +318,7 @@ fn build_automaton_in(
     }
 
     let states = state_id.len();
+    let automaton = TreeAutomaton::new(states, label_id.len().max(1), root_state, transitions);
     Ok((automaton, states))
 }
 
