@@ -5,7 +5,7 @@ use crate::common::load_query;
 use crate::{Args, CliError};
 use cqc_hypergraph::adaptive::adaptive_width_bounds;
 use cqc_hypergraph::fwidth::{minimise_width, WidthMeasure};
-use cqc_hypergraph::treewidth::{treewidth_exact, treewidth_upper_bound};
+use cqc_hypergraph::Treewidth;
 use cqc_query::{query_hypergraph, Query, QueryClass};
 use cqc_runtime::Runtime;
 use std::fmt::Write as _;
@@ -36,11 +36,7 @@ pub struct Classification {
 /// Classify a query (the computational part of `cqc classify`).
 pub fn classify_query(query: &Query) -> Classification {
     let h = query_hypergraph(query);
-    let (tw, exact_tw) = if query.num_vars() <= 13 {
-        (treewidth_exact(&h).0, true)
-    } else {
-        (treewidth_upper_bound(&h).0, false)
-    };
+    let tw = Treewidth::of(&h);
     let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
     let (fhw, _) = minimise_width(
         &h,
@@ -61,7 +57,7 @@ pub fn classify_query(query: &Query) -> Classification {
         size: query.size(),
         vars: (query.num_vars(), query.num_free_vars()),
         arity: query.max_arity(),
-        treewidth: (tw, exact_tw),
+        treewidth: (tw.width, tw.exact),
         hypertreewidth: hw,
         fractional_hypertreewidth: fhw,
         adaptive_width: (aw.lower, aw.upper),
@@ -165,5 +161,19 @@ mod tests {
         assert!(out.contains("class"));
         assert!(out.contains("treewidth"));
         assert!(out.contains("Figure 1"));
+    }
+
+    #[test]
+    fn treewidth_is_an_upper_bound_only_above_thirteen_variables() {
+        for (n, line) in [
+            (13, "treewidth             : 1\n"),
+            (14, "treewidth             : 1 (upper bound)\n"),
+        ] {
+            let atoms: Vec<String> = (1..n).map(|i| format!("E(x{}, x{i})", i - 1)).collect();
+            let query = format!("ans(x0) :- {}", atoms.join(", "));
+            let out =
+                run_classify(&args_from(["classify", "--query", query.as_str()]).unwrap()).unwrap();
+            assert!(out.contains(line), "{out}");
+        }
     }
 }

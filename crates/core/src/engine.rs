@@ -295,7 +295,8 @@ pub struct PlanSummary {
     pub class: QueryClass,
     /// Fractional hypertreewidth of the cached decomposition (FPRAS plans).
     pub fhw: Option<f64>,
-    /// Treewidth of `H(ϕ)` when it was cheap to compute (FPTRAS plans).
+    /// Treewidth of `H(ϕ)` when it is exact, up to 13 variables (FPTRAS
+    /// plans).
     pub query_treewidth: Option<usize>,
     /// Colour-coding repetitions per oracle call (FPTRAS plans).
     pub colour_repetitions: Option<usize>,
@@ -348,7 +349,7 @@ impl PreparedQuery {
     pub fn plan_summary(&self) -> PlanSummary {
         let (fhw, query_treewidth, colour_repetitions) = match &self.plan {
             Plan::Fpras { count, .. } => (Some(count.fhw), None, None),
-            Plan::Fptras(p) => (None, p.query_treewidth(&self.query), Some(p.repetitions)),
+            Plan::Fptras(p) => (None, p.query_treewidth(), Some(p.repetitions)),
             Plan::Exact { .. } => (None, None, None),
         };
         PlanSummary {

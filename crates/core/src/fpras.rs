@@ -557,6 +557,80 @@ mod tests {
         ));
     }
 
+    /// `ans(x0) :- E(x0, x1), …, E(x{n−2}, x{n−1})`: the path on `n` variables.
+    fn path_query(n: usize) -> String {
+        let atoms: Vec<String> = (1..n).map(|i| format!("E(x{}, x{i})", i - 1)).collect();
+        format!("ans(x0) :- {}", atoms.join(", "))
+    }
+
+    /// The bits of the plan's fhw, the root of its nice decomposition and
+    /// `parent:bag` for each node in node order.
+    fn planner_output(query: &str, runtime: &Runtime) -> String {
+        let plan = plan_fpras_with(&parse_query(query).unwrap(), runtime).unwrap();
+        let td = &plan.nice.td;
+        let mut out = format!("fhw={:#x} root={}", plan.fhw.to_bits(), td.root());
+        for t in 0..td.num_nodes() {
+            let parent = td.parent(t).map_or("-".to_string(), |p| p.to_string());
+            let bag: Vec<String> = td.bag(t).iter().map(|v| v.to_string()).collect();
+            out.push_str(&format!(" {parent}:{}", bag.join(",")));
+        }
+        out
+    }
+
+    #[test]
+    fn planner_output_is_pinned() {
+        // The benchmark's CQs, the top of the exhaustive regime (≤ 8
+        // variables) and the heuristic regime above it. Every FPRAS
+        // estimate depends on these decompositions.
+        let star: Vec<String> = (1..=10).map(|i| format!("E(x0, x{i})")).collect();
+        let star = format!("ans(x0) :- {}", star.join(", "));
+        let pins = [
+            (
+                "ans(x, y) :- E(x, z), E(z, y)",
+                "fhw=0x3ff0000000000000 root=0 -: 0:2 1:2 1:2 2:1,2 4:2 5: 3:0,2 7:2 8:",
+            ),
+            (
+                "ans(x) :- E(x, y), E(y, z), E(z, w)",
+                "fhw=0x3ff0000000000000 root=0 -: 0:3 1:2,3 2:2 3:1,2 4:1 5:0,1 6:1 7:",
+            ),
+            (
+                "ans(x, w) :- E(x, y), E(y, z), E(z, w)",
+                "fhw=0x3ff0000000000000 root=0 -: 0:3 1:3 1:3 2:2,3 4:2 5:0,2 6:2 7: 3:1,3 9:3 10:",
+            ),
+            (
+                "ans(x, y) :- E(x, y), E(y, z), E(z, x)",
+                "fhw=0x3ff8000000000000 root=0 -: 0:2 1:1,2 2:0,1,2 3:1,2 4:2 5:",
+            ),
+            (
+                &path_query(5),
+                "fhw=0x3ff0000000000000 root=0 -: 0:4 1:3,4 2:3 3:2,3 4:2 5:1,2 6:1 7:0,1 8:1 9:",
+            ),
+            (
+                &path_query(8),
+                "fhw=0x3ff0000000000000 root=0 -: 0:7 1:6,7 2:6 3:5,6 4:5 5:4,5 6:4 7:3,4 8:3 \
+                 9:2,3 10:2 11:1,2 12:1 13:0,1 14:1 15:",
+            ),
+            (
+                &path_query(9),
+                "fhw=0x3ff0000000000000 root=0 -: 0:8 1:7,8 2:7 3:6,7 4:6 5:5,6 6:5 7:4,5 8:4 \
+                 9:3,4 10:3 11:2,3 12:2 13:1,2 14:1 15:0,1 16:1 17:",
+            ),
+            (
+                &star,
+                "fhw=0x3ff0000000000000 root=0 -: 0:10 1:0,10 2:0,10 2:0,10 3:0,10 3:0,10 \
+                 4:0,10 4:0,10 5:0,10 5:0,10 6:0,10 6:0,10 7:0,10 7:0,10 8:0,10 8:0,10 9:0,10 \
+                 9:0,10 10:0 19:0,9 20:9 21: 11:0 23:0,8 24:8 25: 12:0 27:0,7 28:7 29: 13:0 \
+                 31:0,6 32:6 33: 14:0 35:0,5 36:5 37: 15:0 39:0,4 40:4 41: 16:0 43:0,3 44:3 \
+                 45: 17:0 47:0,2 48:2 49: 18:0 51:0,1 52:1 53:",
+            ),
+        ];
+        for (query, pinned) in pins {
+            for runtime in [Runtime::serial(), Runtime::new(2)] {
+                assert_eq!(planner_output(query, &runtime), pinned, "{query}");
+            }
+        }
+    }
+
     #[test]
     fn boolean_cq() {
         let q = parse_query("ans() :- E(x, y), E(y, z)").unwrap();

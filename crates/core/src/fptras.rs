@@ -15,9 +15,10 @@ use crate::report::{CountMethod, EstimateReport, Telemetry};
 use cqc_data::Structure;
 use cqc_dlm::{approx_edge_count, ApproxMethod, DlmConfig, EdgeFreeOracle};
 use cqc_hom::HybridDecider;
+use cqc_hypergraph::Treewidth;
 use cqc_obs::Stopwatch;
 use cqc_query::colored::ColouringFamily;
-use cqc_query::{build_a_hat, build_b_structure, Query};
+use cqc_query::{build_a_hat, build_b_structure, query_hypergraph, Query};
 use cqc_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,42 +34,31 @@ pub struct FptrasPlan {
     pub a_hat: Structure,
     /// Colour-coding repetitions `Q` per `EdgeFree` oracle call.
     pub repetitions: usize,
-    /// Treewidth of `H(ϕ)`, computed lazily on first request (it is pure
-    /// telemetry, and the exact DP is exponential in the variable count —
-    /// sampling-only use of a plan must not pay for it).
-    query_treewidth: std::sync::OnceLock<Option<usize>>,
+    /// Treewidth of `H(ϕ)` when it is exact (see [`FptrasPlan::query_treewidth`]).
+    query_treewidth: Option<usize>,
 }
 
 impl FptrasPlan {
-    /// Treewidth of `H(ϕ)` (the FPT parameter of Theorem 5), when it is
-    /// cheap to compute. Computed on first call, cached in the plan.
-    ///
-    /// `query` must be the query this plan was built for (the value is
-    /// cached unconditionally, so a different query returns the original
-    /// query's treewidth). [`crate::PreparedQuery`] enforces the pairing;
-    /// direct callers of the plan API must uphold it.
-    pub fn query_treewidth(&self, query: &Query) -> Option<usize> {
-        *self.query_treewidth.get_or_init(|| {
-            if query.num_vars() <= 13 {
-                let h = cqc_query::query_hypergraph(query);
-                Some(cqc_hypergraph::treewidth::treewidth_exact(&h).0)
-            } else {
-                None
-            }
-        })
+    /// Treewidth of `H(ϕ)` (the FPT parameter of Theorem 5) when
+    /// [`Treewidth::of`] computes it exactly, `None` for queries whose width
+    /// it only bounds (more than 13 variables).
+    pub fn query_treewidth(&self) -> Option<usize> {
+        self.query_treewidth
     }
 }
 
-/// Query-side planning for the FPTRAS of Theorems 5 / 13: build `Â(ϕ)` and
-/// fix the colour-coding repetition budget.
+/// Query-side planning for the FPTRAS of Theorems 5 / 13: build `Â(ϕ)`,
+/// fix the colour-coding repetition budget and record the treewidth of
+/// `H(ϕ)`.
 pub fn plan_fptras(query: &Query, config: &ApproxConfig) -> FptrasPlan {
     let repetitions = config.colour_repetitions.unwrap_or_else(|| {
         AnswerOracle::<HybridDecider>::recommended_repetitions(query, config.delta)
     });
+    let tw = Treewidth::of(&query_hypergraph(query));
     FptrasPlan {
         a_hat: build_a_hat(query),
         repetitions,
-        query_treewidth: std::sync::OnceLock::new(),
+        query_treewidth: tw.exact.then_some(tw.width),
     }
 }
 
@@ -180,7 +170,7 @@ pub fn fptras_count_with_scratch(
         oracle_calls: oracle.calls(),
         hom_calls: oracle.hom_calls(),
         colour_repetitions: plan.repetitions,
-        query_treewidth: plan.query_treewidth(query),
+        query_treewidth: plan.query_treewidth(),
         wall: start.elapsed(),
         threads_used: runtime.threads(),
         ..Telemetry::default()
@@ -254,6 +244,16 @@ mod tests {
         );
         assert_eq!(r.telemetry.query_treewidth, Some(1));
         assert!(r.telemetry.hom_calls > 0);
+    }
+
+    #[test]
+    fn query_treewidth_is_reported_only_when_exact() {
+        for (n, expected) in [(13, Some(1)), (14, None)] {
+            let atoms: Vec<String> = (1..n).map(|i| format!("E(x{}, x{i})", i - 1)).collect();
+            let q = parse_query(&format!("ans(x0) :- {}, x0 != x1", atoms.join(", "))).unwrap();
+            let plan = plan_fptras(&q, &config(0.2, 0.05, 1));
+            assert_eq!(plan.query_treewidth(), expected, "{n} variables");
+        }
     }
 
     #[test]

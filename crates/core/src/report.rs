@@ -44,7 +44,8 @@ pub struct Telemetry {
     pub tree_nodes: usize,
     /// Fractional hypertreewidth of the decomposition used (FPRAS path).
     pub fhw: Option<f64>,
-    /// Treewidth of `H(ϕ)` when it was cheap to compute (FPTRAS path).
+    /// Treewidth of `H(ϕ)` when it is exact, up to 13 variables (FPTRAS
+    /// path).
     pub query_treewidth: Option<usize>,
     /// Wall-clock time of the evaluation (excluding query preparation).
     pub wall: Duration,

@@ -21,8 +21,7 @@
 use crate::bag_solutions::{extend, steps, Projections, Step};
 use crate::instance::HomInstance;
 use cqc_data::{Structure, Val};
-use cqc_hypergraph::treewidth::{treewidth_exact, treewidth_upper_bound};
-use cqc_hypergraph::TreeDecomposition;
+use cqc_hypergraph::{TreeDecomposition, Treewidth};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,18 +92,10 @@ impl HomDecider for HybridDecider {
     }
 }
 
-/// Patterns with at most this many elements get an exact minimum-width
-/// decomposition; larger ones a min-fill / min-degree heuristic one.
-const EXACT_TREEWIDTH_LIMIT: usize = 13;
-
-/// A tree decomposition of the pattern hypergraph of `inst`.
+/// A tree decomposition of the pattern hypergraph of `inst`: of minimum
+/// width for small patterns, heuristic for large ones ([`Treewidth::of`]).
 fn decompose(inst: &HomInstance<'_>) -> TreeDecomposition {
-    let h = inst.pattern_hypergraph();
-    if h.num_vertices() <= EXACT_TREEWIDTH_LIMIT {
-        treewidth_exact(&h).1
-    } else {
-        treewidth_upper_bound(&h).1
-    }
+    Treewidth::of(&inst.pattern_hypergraph()).decomposition
 }
 
 /// One node of the decomposition, ready for the descent.

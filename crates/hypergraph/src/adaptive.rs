@@ -50,8 +50,6 @@ pub fn mu_width(h: &Hypergraph, mu: &FractionalIndependentSet) -> f64 {
     let (w, _) = minimise_f_width(
         h,
         |_, bag: &BTreeSet<usize>| bag.iter().map(|&v| mu.weights[v]).sum::<f64>(),
-        8,
-        32,
         &Runtime::serial(),
     );
     w
@@ -151,8 +149,6 @@ pub fn adaptive_width_bounds(h: &Hypergraph, rounds: usize) -> AdaptiveWidthBoun
         let (_, td) = minimise_f_width(
             h,
             |_, bag: &BTreeSet<usize>| bag.iter().map(|&v| current_mu.weights[v]).sum::<f64>(),
-            8,
-            32,
             &Runtime::serial(),
         );
         let (_, response) = best_response_mu(h, td.bags());

@@ -22,7 +22,8 @@ pub struct TreeDecomposition {
 
 impl TreeDecomposition {
     /// A decomposition with a single bag (usually the trivial decomposition
-    /// containing all vertices).
+    /// containing all vertices); further nodes are attached with
+    /// [`TreeDecomposition::add_child`].
     pub fn single_bag(bag: BTreeSet<usize>) -> Self {
         TreeDecomposition {
             bags: vec![bag],
@@ -30,12 +31,6 @@ impl TreeDecomposition {
             children: vec![vec![]],
             root: 0,
         }
-    }
-
-    /// Create an empty decomposition consisting only of a root with the given
-    /// bag; further nodes are attached with [`TreeDecomposition::add_child`].
-    pub fn with_root(bag: BTreeSet<usize>) -> Self {
-        Self::single_bag(bag)
     }
 
     /// Add a node with the given bag as a child of `parent`, returning the
@@ -170,22 +165,6 @@ impl TreeDecomposition {
         Ok(())
     }
 
-    /// Ensure that every vertex of `h` appears in some bag by attaching, for
-    /// each missing vertex `v`, a new leaf with bag `{v}` to the root.
-    ///
-    /// This is exactly the construction used in the proofs of Theorem 5 and
-    /// Lemma 35: adding size-1 bags never increases the treewidth (beyond 0)
-    /// nor any monotone `f`-width beyond `max(f({v}), old width)`.
-    pub fn ensure_all_vertices(&mut self, h: &Hypergraph) {
-        for v in h.vertices() {
-            if !self.bags.iter().any(|b| b.contains(&v)) {
-                let mut bag = BTreeSet::new();
-                bag.insert(v);
-                self.add_child(self.root, bag);
-            }
-        }
-    }
-
     /// Contract edges of the tree whose endpoints carry identical bags
     /// (removing redundant nodes). Returns a new decomposition.
     pub fn contract_equal_bags(&self) -> TreeDecomposition {
@@ -249,34 +228,19 @@ impl TreeDecomposition {
     }
 }
 
-/// The role of a node in a nice tree decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NiceNodeKind {
-    /// A leaf with an empty bag.
-    Leaf,
-    /// A node whose bag adds exactly one vertex relative to its unique child.
-    Introduce(usize),
-    /// A node whose bag removes exactly one vertex relative to its unique child.
-    Forget(usize),
-    /// A node with two children; all three bags are equal.
-    Join,
-}
-
-/// A nice tree decomposition (Definition 42) together with the role of each
-/// node. The root always has an empty bag.
+/// A nice tree decomposition (Definition 42): empty root and leaf bags, at
+/// most two children per node, join nodes whose children carry their bag,
+/// and chain nodes that add or remove exactly one vertex relative to their
+/// child. Outside this crate only [`TreeDecomposition::into_nice`] builds
+/// one.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct NiceTreeDecomposition {
     /// The underlying decomposition.
     pub td: TreeDecomposition,
-    kinds: Vec<NiceNodeKind>,
 }
 
 impl NiceTreeDecomposition {
-    /// The role of node `t`.
-    pub fn kind(&self, t: usize) -> NiceNodeKind {
-        self.kinds[t]
-    }
-
     /// Validate the niceness conditions of Definition 42.
     pub fn validate_nice(&self) -> Result<(), String> {
         let td = &self.td;
@@ -405,37 +369,14 @@ impl NiceBuilder {
     }
 
     fn finish(self, root: usize) -> NiceTreeDecomposition {
-        let td = TreeDecomposition {
-            bags: self.bags,
-            parent: self.parent,
-            children: self.children,
-            root,
-        };
-        let mut kinds = Vec::with_capacity(td.num_nodes());
-        for t in 0..td.num_nodes() {
-            let ch = td.children(t);
-            let kind = match ch.len() {
-                0 => NiceNodeKind::Leaf,
-                1 => {
-                    let c = ch[0];
-                    let added: Vec<usize> = td.bag(t).difference(td.bag(c)).copied().collect();
-                    let removed: Vec<usize> = td.bag(c).difference(td.bag(t)).copied().collect();
-                    if added.len() == 1 && removed.is_empty() {
-                        NiceNodeKind::Introduce(added[0])
-                    } else if removed.len() == 1 && added.is_empty() {
-                        NiceNodeKind::Forget(removed[0])
-                    } else {
-                        // This should not happen for trees produced by the
-                        // builder; classify conservatively as Join which will
-                        // fail validation.
-                        NiceNodeKind::Join
-                    }
-                }
-                _ => NiceNodeKind::Join,
-            };
-            kinds.push(kind);
+        NiceTreeDecomposition {
+            td: TreeDecomposition {
+                bags: self.bags,
+                parent: self.parent,
+                children: self.children,
+                root,
+            },
         }
-        NiceTreeDecomposition { td, kinds }
     }
 }
 
@@ -450,7 +391,7 @@ mod tests {
     fn path_decomposition() -> (Hypergraph, TreeDecomposition) {
         // path 0-1-2-3, decomposition bags {0,1},{1,2},{2,3} as a path
         let h = Hypergraph::from_edges(4, &[&[0, 1], &[1, 2], &[2, 3]]);
-        let mut td = TreeDecomposition::with_root(set(&[0, 1]));
+        let mut td = TreeDecomposition::single_bag(set(&[0, 1]));
         let a = td.add_child(0, set(&[1, 2]));
         td.add_child(a, set(&[2, 3]));
         (h, td)
@@ -482,7 +423,7 @@ mod tests {
         // vertex 2 is isolated and in no bag
         assert!(td.validate(&h).is_err());
         let mut td2 = td.clone();
-        td2.ensure_all_vertices(&h);
+        td2.add_child(0, set(&[2]));
         assert!(td2.validate(&h).is_ok());
     }
 
@@ -491,7 +432,7 @@ mod tests {
         let h = Hypergraph::from_edges(3, &[&[0, 1], &[1, 2]]);
         // bags {0,1}, {1,2} and a bag {0} hanging off the {1,2} node: vertex 0
         // occurs in nodes 0 and 2 which are not adjacent — invalid.
-        let mut td = TreeDecomposition::with_root(set(&[0, 1]));
+        let mut td = TreeDecomposition::single_bag(set(&[0, 1]));
         let a = td.add_child(0, set(&[1, 2]));
         td.add_child(a, set(&[0]));
         // connectivity of vertex 0 fails: nodes {0, 2} with path through node 1 missing 0
@@ -508,7 +449,7 @@ mod tests {
 
     #[test]
     fn contract_equal_bags_removes_duplicates() {
-        let mut td = TreeDecomposition::with_root(set(&[0, 1]));
+        let mut td = TreeDecomposition::single_bag(set(&[0, 1]));
         let a = td.add_child(0, set(&[0, 1]));
         let b = td.add_child(a, set(&[1, 2]));
         td.add_child(b, set(&[1, 2]));
@@ -523,7 +464,7 @@ mod tests {
         // renumbering walks a sorted map, so repeated contractions of one
         // tree are structurally identical (node ids included) — whatever
         // the process hash state.
-        let mut td = TreeDecomposition::with_root(set(&[0, 1]));
+        let mut td = TreeDecomposition::single_bag(set(&[0, 1]));
         let mut prev = 0;
         for i in 0..12usize {
             let lo = i / 2;
@@ -549,21 +490,13 @@ mod tests {
         assert_eq!(nice.td.width(), 1);
         // root bag empty
         assert!(nice.td.bag(nice.td.root()).is_empty());
-        // kinds are consistent
-        for t in 0..nice.td.num_nodes() {
-            match nice.kind(t) {
-                NiceNodeKind::Leaf => assert!(nice.td.children(t).is_empty()),
-                NiceNodeKind::Join => assert_eq!(nice.td.children(t).len(), 2),
-                _ => assert_eq!(nice.td.children(t).len(), 1),
-            }
-        }
     }
 
     #[test]
     fn nice_decomposition_with_branching() {
         // star: edges {0,1},{0,2},{0,3} with a star-shaped decomposition
         let h = Hypergraph::from_edges(4, &[&[0, 1], &[0, 2], &[0, 3]]);
-        let mut td = TreeDecomposition::with_root(set(&[0, 1]));
+        let mut td = TreeDecomposition::single_bag(set(&[0, 1]));
         td.add_child(0, set(&[0, 2]));
         td.add_child(0, set(&[0, 3]));
         let nice = td.into_nice();
@@ -571,14 +504,14 @@ mod tests {
         assert!(nice.td.validate(&h).is_ok());
         assert_eq!(nice.td.width(), 1);
         // there must be at least one join node
-        assert!((0..nice.td.num_nodes()).any(|t| nice.kind(t) == NiceNodeKind::Join));
+        assert!((0..nice.td.num_nodes()).any(|t| nice.td.children(t).len() == 2));
     }
 
     #[test]
     fn nice_decomposition_high_branching() {
         // 5 children under one root bag
         let h = Hypergraph::from_edges(6, &[&[0, 1], &[0, 2], &[0, 3], &[0, 4], &[0, 5]]);
-        let mut td = TreeDecomposition::with_root(set(&[0]));
+        let mut td = TreeDecomposition::single_bag(set(&[0]));
         for v in 1..6 {
             td.add_child(0, set(&[0, v]));
         }
@@ -603,7 +536,7 @@ mod tests {
                 &[2, 5],
             ],
         );
-        let mut td = TreeDecomposition::with_root(set(&[0, 1, 3, 4]));
+        let mut td = TreeDecomposition::single_bag(set(&[0, 1, 3, 4]));
         let a = td.add_child(0, set(&[1, 2, 4, 5]));
         let _ = a;
         assert!(td.validate(&h).is_ok());

@@ -11,15 +11,13 @@ use crate::decomposition::TreeDecomposition;
 use crate::fractional::fractional_cover_number;
 use crate::hypergraph::Hypergraph;
 use crate::hypertree::integral_cover_number;
-use crate::treewidth::{min_degree_order, min_fill_order, EliminationOrder};
+use crate::treewidth::{elimination_bags, min_degree_order, min_fill_order, EliminationOrder};
 use cqc_runtime::Runtime;
 use std::collections::BTreeSet;
 
 /// Named width measures used for reporting and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WidthMeasure {
-    /// Treewidth: `f(X) = |X| − 1` (Definition 4).
-    Treewidth,
     /// Hypertreewidth: `f(X)` = minimum number of hyperedges covering `X`
     /// (Definition 37; we use the bag-cover relaxation, see module docs of
     /// [`crate::hypertree`]).
@@ -31,7 +29,6 @@ pub enum WidthMeasure {
 /// Evaluate the bag cost of `bag` under a width measure.
 pub fn bag_cost(h: &Hypergraph, bag: &BTreeSet<usize>, measure: WidthMeasure) -> f64 {
     match measure {
-        WidthMeasure::Treewidth => bag.len() as f64 - 1.0,
         WidthMeasure::Hypertreewidth => integral_cover_number(h, bag)
             .map(|c| c as f64)
             .unwrap_or(f64::INFINITY),
@@ -62,109 +59,65 @@ pub fn width_of_decomposition(
     f_width_of_decomposition(td, |bag| bag_cost(h, bag, measure))
 }
 
+/// The exhaustive regime of [`minimise_f_width`] enumerates every elimination
+/// order of hypergraphs with at most this many vertices: `n!` orders, so at
+/// most 8! = 40320 of ≤ 8 entries.
+const EXHAUSTIVE_VERTICES: usize = 8;
+
+/// Random elimination orders the heuristic regime of [`minimise_f_width`]
+/// tries besides min-degree and min-fill.
+const RESTARTS: usize = 32;
+
 /// Search for a tree decomposition of small `f`-width, with the candidate
 /// evaluations fanned out over `runtime` (serial callers pass
 /// [`Runtime::serial`]).
 ///
 /// Strategy:
-/// * if `H` has at most `exact_limit` vertices, enumerate **all** elimination
-///   orders (there are `n!`, so `exact_limit` should stay ≤ 8: the search
-///   then holds at most 8! = 40320 orders of ≤ 8 entries) and keep the best
-///   decomposition;
-/// * otherwise fall back to the min-degree and min-fill heuristic orders plus
-///   `restarts` random orders, keeping the best.
+/// * if `H` has at most 8 vertices, score **all** elimination orders;
+/// * otherwise score the min-degree and min-fill heuristic orders plus 32
+///   random orders.
 ///
-/// Every elimination order yields a valid tree decomposition, so the result
-/// is always a correct decomposition of `H`; optimality is guaranteed only in
+/// An order's score is the maximum bag cost over its per-vertex elimination
+/// bags, which are exactly the bags of the decomposition it induces. Every
+/// elimination order yields a valid tree decomposition, so the result is
+/// always a correct decomposition of `H`; optimality is guaranteed only in
 /// the exhaustive regime (and even there only over decompositions induced by
 /// elimination orders, which is exact for treewidth and an upper bound for
 /// other measures — see `docs/ARCHITECTURE.md`, Substitutions).
 ///
-/// Deterministic: the reduction keeps the **first** candidate (in
-/// enumeration order) attaining the minimum width, so the winning
-/// decomposition is bit-identical for any thread count.
-pub fn minimise_f_width<F>(
-    h: &Hypergraph,
-    f: F,
-    exact_limit: usize,
-    restarts: usize,
-    runtime: &Runtime,
-) -> (f64, TreeDecomposition)
+/// Deterministic: the search keeps the **first** candidate (in enumeration
+/// order) attaining the minimum width, so the winning decomposition is
+/// bit-identical for any thread count.
+pub fn minimise_f_width<F>(h: &Hypergraph, f: F, runtime: &Runtime) -> (f64, TreeDecomposition)
 where
     F: Fn(&Hypergraph, &BTreeSet<usize>) -> f64 + Sync,
 {
     if h.num_vertices() == 0 {
         return (0.0, TreeDecomposition::single_bag(BTreeSet::new()));
     }
-    let mut orders = Vec::new();
-    for_each_candidate_order(h, exact_limit, restarts, |o| orders.push(o.clone()));
-    // Workers fold their slice down to a single local best so at most
-    // O(threads) evaluated decompositions are retained at once. Slice-local
-    // first-minima merged in slice order with a strict `<` are the global
-    // first minimum.
-    let slice = runtime.chunk_size(orders.len());
-    let slices: Vec<&[EliminationOrder]> = orders.chunks(slice).collect();
-    runtime
-        .par_reduce(
-            &slices,
-            |_, chunk| {
-                let mut best: Option<(f64, TreeDecomposition)> = None;
-                for order in chunk.iter() {
-                    let (w, td) = evaluate_order(h, order, &f);
-                    if best.as_ref().map(|(bw, _)| w < *bw).unwrap_or(true) {
-                        best = Some((w, td));
-                    }
-                }
-                best
-            },
-            None::<(f64, TreeDecomposition)>,
-            |acc, cand| match (acc, cand) {
-                (Some((bw, btd)), Some((w, td))) => {
-                    if w < bw {
-                        Some((w, td))
-                    } else {
-                        Some((bw, btd))
-                    }
-                }
-                (acc, None) => acc,
-                (None, cand) => cand,
-            },
-        )
-        .expect("at least one decomposition considered")
+    let mut orders = candidate_orders(h);
+    let primal = h.primal_graph();
+    let widths = runtime.par_map(&orders, |_, order| {
+        elimination_bags(primal.clone(), order)
+            .iter()
+            .map(|b| f(h, b))
+            .fold(f64::NEG_INFINITY, f64::max)
+    });
+    let best = (1..widths.len()).fold(0, |best, i| if widths[i] < widths[best] { i } else { best });
+    let td = EliminationOrder(orders.swap_remove(best)).decomposition(h);
+    (widths[best], td.contract_equal_bags())
 }
 
-/// Build and score the decomposition induced by one elimination order.
-fn evaluate_order<F>(h: &Hypergraph, order: &EliminationOrder, f: &F) -> (f64, TreeDecomposition)
-where
-    F: Fn(&Hypergraph, &BTreeSet<usize>) -> f64,
-{
-    let mut td = order.decomposition(h);
-    td.ensure_all_vertices(h);
-    let td = td.contract_equal_bags();
-    let w = td
-        .bags()
-        .iter()
-        .map(|b| f(h, b))
-        .fold(f64::NEG_INFINITY, f64::max);
-    (w, td)
-}
-
-/// Visit the candidate elimination orders the width search considers, in a
-/// fixed deterministic enumeration order: every permutation (Heap's
-/// algorithm) in the exhaustive regime, otherwise the min-degree and
-/// min-fill heuristic orders plus `restarts` xorshift-derived random orders.
-fn for_each_candidate_order(
-    h: &Hypergraph,
-    exact_limit: usize,
-    restarts: usize,
-    mut visit: impl FnMut(&EliminationOrder),
-) {
+/// The candidate elimination orders the width search scores, in a fixed
+/// deterministic enumeration order: every permutation (Heap's algorithm) in
+/// the exhaustive regime, otherwise the min-degree and min-fill heuristic
+/// orders plus [`RESTARTS`] xorshift-derived random orders.
+fn candidate_orders(h: &Hypergraph) -> Vec<Vec<usize>> {
     let n = h.num_vertices();
-    if n <= exact_limit {
+    if n <= EXHAUSTIVE_VERTICES {
         let mut perm: Vec<usize> = (0..n).collect();
+        let mut orders = vec![perm.clone()];
         let mut c = vec![0usize; n];
-        let mut scratch = EliminationOrder(perm.clone());
-        visit(&scratch);
         let mut i = 0;
         while i < n {
             if c[i] < i {
@@ -173,8 +126,7 @@ fn for_each_candidate_order(
                 } else {
                     perm.swap(c[i], i);
                 }
-                scratch.0.copy_from_slice(&perm);
-                visit(&scratch);
+                orders.push(perm.clone());
                 c[i] += 1;
                 i = 0;
             } else {
@@ -182,13 +134,13 @@ fn for_each_candidate_order(
                 i += 1;
             }
         }
+        orders
     } else {
-        visit(&min_degree_order(h));
-        visit(&min_fill_order(h));
+        let mut orders = vec![min_degree_order(h).0, min_fill_order(h).0];
         // Deterministic pseudo-random restarts (xorshift; independent of
         // the engine seed so planning stays reproducible per query).
         let mut state = 0x9E3779B97F4A7C15u64;
-        for _ in 0..restarts {
+        for _ in 0..RESTARTS {
             let mut perm: Vec<usize> = (0..n).collect();
             for i in (1..n).rev() {
                 state ^= state << 13;
@@ -197,8 +149,9 @@ fn for_each_candidate_order(
                 let j = (state % (i as u64 + 1)) as usize;
                 perm.swap(i, j);
             }
-            visit(&EliminationOrder(perm));
+            orders.push(perm);
         }
+        orders
     }
 }
 
@@ -210,12 +163,18 @@ pub fn minimise_width(
     measure: WidthMeasure,
     runtime: &Runtime,
 ) -> (f64, TreeDecomposition) {
-    minimise_f_width(h, |h, bag| bag_cost(h, bag, measure), 8, 32, runtime)
+    minimise_f_width(h, |h, bag| bag_cost(h, bag, measure), runtime)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::treewidth::treewidth_exact;
+
+    /// The treewidth bag cost `f(X) = |X| − 1`.
+    fn tw_cost(_: &Hypergraph, bag: &BTreeSet<usize>) -> f64 {
+        bag.len() as f64 - 1.0
+    }
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6
@@ -232,8 +191,8 @@ mod tests {
     #[test]
     fn treewidth_via_f_width() {
         let h = cycle(5);
-        let (w, td) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
-        assert!(approx(w, 2.0));
+        let (w, td) = minimise_f_width(&h, tw_cost, &Runtime::serial());
+        assert_eq!(w, treewidth_exact(&h).0 as f64);
         assert!(td.validate(&h).is_ok());
     }
 
@@ -294,7 +253,7 @@ mod tests {
             Hypergraph::from_edges(5, &[&[0, 1, 2], &[2, 3, 4], &[0, 4]]),
             Hypergraph::from_edges(6, &[&[0, 1, 2], &[3, 4, 5], &[0, 3], &[2, 5]]),
         ] {
-            let (tw, _) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
+            let tw = treewidth_exact(&h).0 as f64;
             let (hw, _) = minimise_width(&h, WidthMeasure::Hypertreewidth, &Runtime::serial());
             let (fhw, _) = minimise_width(
                 &h,
@@ -310,9 +269,9 @@ mod tests {
     fn heuristic_regime_still_valid() {
         // 12 vertices forces the heuristic path
         let h = cycle(12);
-        let (w, td) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
+        let (w, td) = minimise_f_width(&h, tw_cost, &Runtime::serial());
         assert!(td.validate(&h).is_ok());
-        assert!(w >= 2.0 - 1e-9);
+        assert!(w >= treewidth_exact(&h).0 as f64);
         assert!(w <= 3.0 + 1e-9);
     }
 
@@ -321,7 +280,7 @@ mod tests {
         let h = cycle(3);
         let td = TreeDecomposition::single_bag(h.vertices().collect());
         assert!(approx(
-            width_of_decomposition(&h, &td, WidthMeasure::Treewidth),
+            f_width_of_decomposition(&td, |b| tw_cost(&h, b)),
             2.0
         ));
         assert!(approx(
@@ -337,7 +296,7 @@ mod tests {
     #[test]
     fn empty_hypergraph() {
         let h = Hypergraph::new(0);
-        let (w, _) = minimise_width(&h, WidthMeasure::Treewidth, &Runtime::serial());
+        let (w, _) = minimise_f_width(&h, tw_cost, &Runtime::serial());
         assert_eq!(w, 0.0);
     }
 }

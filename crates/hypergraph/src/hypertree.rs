@@ -178,7 +178,7 @@ mod tests {
         let td = TreeDecomposition::single_bag(set(&[0, 1, 2, 3]));
         assert_eq!(hypertree_width_of_decomposition(&h, &td), Some(2));
         // path decomposition: each bag covered by 1 edge
-        let mut td = TreeDecomposition::with_root(set(&[0, 1]));
+        let mut td = TreeDecomposition::single_bag(set(&[0, 1]));
         let a = td.add_child(0, set(&[1, 2]));
         td.add_child(a, set(&[2, 3]));
         assert_eq!(hypertree_width_of_decomposition(&h, &td), Some(1));

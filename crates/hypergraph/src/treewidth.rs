@@ -7,11 +7,19 @@
 //! programming over vertex subsets, following Bodlaender–Fomin–Koster–
 //! Kratsch–Thilikos) is perfectly adequate. Min-degree and min-fill
 //! elimination heuristics are provided for larger hypergraphs (e.g. database
-//! Gaifman graphs used in tests).
+//! Gaifman graphs used in tests); [`Treewidth::of`] picks between the two.
+//!
+//! Every decomposition here comes from one fill-in elimination pass over the
+//! primal graph (`eliminate`), whether the order is given, chosen greedily
+//! or rebuilt by the exact search.
 
 use crate::decomposition::TreeDecomposition;
 use crate::hypergraph::Hypergraph;
 use std::collections::BTreeSet;
+
+/// Hypergraphs with at most this many vertices get [`treewidth_exact`] from
+/// [`Treewidth::of`]; larger ones [`treewidth_upper_bound`].
+const EXACT_TREEWIDTH_VERTICES: usize = 13;
 
 /// An elimination order of the vertices of a hypergraph.
 ///
@@ -27,23 +35,7 @@ impl EliminationOrder {
     /// number of not-yet-eliminated neighbours at elimination time (in the
     /// progressively filled-in primal graph).
     pub fn width(&self, h: &Hypergraph) -> usize {
-        let n = h.num_vertices();
-        let mut adj: Vec<BTreeSet<usize>> = h.primal_graph();
-        let mut eliminated = vec![false; n];
-        let mut width = 0usize;
-        for &v in &self.0 {
-            let neigh: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-            width = width.max(neigh.len());
-            // fill in a clique among the remaining neighbours
-            for i in 0..neigh.len() {
-                for j in (i + 1)..neigh.len() {
-                    adj[neigh[i]].insert(neigh[j]);
-                    adj[neigh[j]].insert(neigh[i]);
-                }
-            }
-            eliminated[v] = true;
-        }
-        width
+        width(&elimination_bags(h.primal_graph(), &self.0))
     }
 
     /// The tree decomposition induced by this elimination order.
@@ -52,119 +44,167 @@ impl EliminationOrder {
     /// later-eliminated neighbours in the filled-in graph; the bag of `v` is
     /// attached to the bag of the earliest-eliminated vertex of `N⁺(v)`.
     pub fn decomposition(&self, h: &Hypergraph) -> TreeDecomposition {
-        let n = h.num_vertices();
-        assert_eq!(self.0.len(), n, "elimination order must cover all vertices");
-        if n == 0 {
-            return TreeDecomposition::single_bag(BTreeSet::new());
-        }
-        let mut adj: Vec<BTreeSet<usize>> = h.primal_graph();
-        let mut position = vec![0usize; n];
-        for (i, &v) in self.0.iter().enumerate() {
-            position[v] = i;
-        }
-        // Compute bags in elimination order with fill-in.
-        let mut eliminated = vec![false; n];
-        let mut bags: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        for &v in &self.0 {
-            let neigh: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-            let mut bag: BTreeSet<usize> = neigh.iter().copied().collect();
-            bag.insert(v);
-            bags[v] = bag;
-            for i in 0..neigh.len() {
-                for j in (i + 1)..neigh.len() {
-                    adj[neigh[i]].insert(neigh[j]);
-                    adj[neigh[j]].insert(neigh[i]);
-                }
-            }
-            eliminated[v] = true;
-        }
-        // The root corresponds to the last eliminated vertex.
-        let root_vertex = *self.0.last().unwrap();
-        let mut td = TreeDecomposition::with_root(bags[root_vertex].clone());
-        let mut node_of = vec![usize::MAX; n];
-        node_of[root_vertex] = 0;
-        // Attach bags from later-eliminated to earlier-eliminated.
-        for &v in self.0.iter().rev().skip(1) {
-            // parent vertex: the earliest-eliminated vertex among the bag
-            // members eliminated after v (equivalently, minimum position > pos(v)).
-            let parent_vertex = bags[v]
-                .iter()
-                .copied()
-                .filter(|&u| u != v && position[u] > position[v])
-                .min_by_key(|&u| position[u]);
-            let parent_node = match parent_vertex {
-                Some(u) => node_of[u],
-                None => node_of[root_vertex],
-            };
-            let id = td.add_child(parent_node, bags[v].clone());
-            node_of[v] = id;
-        }
-        td
+        tree(&self.0, elimination_bags(h.primal_graph(), &self.0))
     }
+}
+
+/// The fill-in elimination pass: starting from the primal graph `adj`,
+/// repeatedly eliminate the vertex `next` picks (given the filled-in
+/// adjacency and which vertices are gone), joining its remaining neighbours
+/// into a clique. Returns the order taken and, indexed by vertex, each bag
+/// `{v} ∪ N⁺(v)`: `v` and its neighbours not yet eliminated when it goes.
+fn eliminate(
+    mut adj: Vec<BTreeSet<usize>>,
+    mut next: impl FnMut(&[BTreeSet<usize>], &[bool]) -> usize,
+) -> (Vec<usize>, Vec<BTreeSet<usize>>) {
+    let n = adj.len();
+    let mut eliminated = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    let mut bags = vec![BTreeSet::new(); n];
+    for _ in 0..n {
+        let v = next(&adj, &eliminated);
+        let neigh: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
+        for (i, &a) in neigh.iter().enumerate() {
+            for &b in &neigh[i + 1..] {
+                adj[a].insert(b);
+                adj[b].insert(a);
+            }
+        }
+        let mut bag: BTreeSet<usize> = neigh.into_iter().collect();
+        bag.insert(v);
+        bags[v] = bag;
+        eliminated[v] = true;
+        order.push(v);
+    }
+    (order, bags)
+}
+
+/// The per-vertex bags of eliminating the primal graph `adj` in `order`.
+pub(crate) fn elimination_bags(adj: Vec<BTreeSet<usize>>, order: &[usize]) -> Vec<BTreeSet<usize>> {
+    assert_eq!(
+        order.len(),
+        adj.len(),
+        "elimination order must cover all vertices"
+    );
+    let mut order = order.iter();
+    eliminate(adj, |_, _| *order.next().expect("one vertex per step")).1
+}
+
+/// The width `max |bag| − 1` of the per-vertex bags of an elimination.
+fn width(bags: &[BTreeSet<usize>]) -> usize {
+    bags.iter().map(|b| b.len() - 1).max().unwrap_or(0)
+}
+
+/// The tree decomposition of an elimination, taking ownership of its bags:
+/// the last-eliminated vertex's bag is the root, and every other vertex's
+/// bag hangs off the bag of the earliest-eliminated vertex of its `N⁺(v)`
+/// (off the root when `N⁺(v)` is empty).
+fn tree(order: &[usize], mut bags: Vec<BTreeSet<usize>>) -> TreeDecomposition {
+    let Some(&root_vertex) = order.last() else {
+        return TreeDecomposition::single_bag(BTreeSet::new());
+    };
+    let mut position = vec![0usize; order.len()];
+    for (i, &v) in order.iter().enumerate() {
+        position[v] = i;
+    }
+    let mut td = TreeDecomposition::single_bag(std::mem::take(&mut bags[root_vertex]));
+    let mut node_of = vec![usize::MAX; order.len()];
+    node_of[root_vertex] = 0;
+    for &v in order.iter().rev().skip(1) {
+        let parent = bags[v]
+            .iter()
+            .copied()
+            .filter(|&u| position[u] > position[v])
+            .min_by_key(|&u| position[u])
+            .unwrap_or(root_vertex);
+        node_of[v] = td.add_child(node_of[parent], std::mem::take(&mut bags[v]));
+    }
+    td
+}
+
+/// A greedy elimination: always eliminate a remaining vertex of least
+/// `score` (the first such vertex on ties).
+fn greedy(
+    h: &Hypergraph,
+    score: fn(&[BTreeSet<usize>], &[bool], usize) -> usize,
+) -> (Vec<usize>, Vec<BTreeSet<usize>>) {
+    eliminate(h.primal_graph(), |adj, eliminated| {
+        (0..adj.len())
+            .filter(|&v| !eliminated[v])
+            .min_by_key(|&v| score(adj, eliminated, v))
+            .expect("vertices remain")
+    })
+}
+
+/// The number of remaining neighbours of `v`.
+fn degree(adj: &[BTreeSet<usize>], eliminated: &[bool], v: usize) -> usize {
+    adj[v].iter().filter(|&&u| !eliminated[u]).count()
+}
+
+/// The number of fill-in edges eliminating `v` would add.
+fn fill(adj: &[BTreeSet<usize>], eliminated: &[bool], v: usize) -> usize {
+    let neigh: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
+    let mut fill = 0;
+    for (i, &a) in neigh.iter().enumerate() {
+        fill += neigh[i + 1..]
+            .iter()
+            .filter(|&b| !adj[a].contains(b))
+            .count();
+    }
+    fill
 }
 
 /// A min-degree elimination order (greedy heuristic).
 pub fn min_degree_order(h: &Hypergraph) -> EliminationOrder {
-    greedy_order(h, |adj, eliminated, v| {
-        adj[v].iter().filter(|&&u| !eliminated[u]).count()
-    })
+    EliminationOrder(greedy(h, degree).0)
 }
 
 /// A min-fill elimination order (greedy heuristic): eliminate the vertex
 /// whose elimination introduces the fewest fill-in edges.
 pub fn min_fill_order(h: &Hypergraph) -> EliminationOrder {
-    greedy_order(h, |adj, eliminated, v| {
-        let neigh: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-        let mut fill = 0usize;
-        for i in 0..neigh.len() {
-            for j in (i + 1)..neigh.len() {
-                if !adj[neigh[i]].contains(&neigh[j]) {
-                    fill += 1;
-                }
-            }
-        }
-        fill
-    })
-}
-
-fn greedy_order<F>(h: &Hypergraph, score: F) -> EliminationOrder
-where
-    F: Fn(&[BTreeSet<usize>], &[bool], usize) -> usize,
-{
-    let n = h.num_vertices();
-    let mut adj = h.primal_graph();
-    let mut eliminated = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = (0..n)
-            .filter(|&v| !eliminated[v])
-            .min_by_key(|&v| score(&adj, &eliminated, v))
-            .expect("vertices remain");
-        let neigh: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-        for i in 0..neigh.len() {
-            for j in (i + 1)..neigh.len() {
-                adj[neigh[i]].insert(neigh[j]);
-                adj[neigh[j]].insert(neigh[i]);
-            }
-        }
-        eliminated[v] = true;
-        order.push(v);
-    }
-    EliminationOrder(order)
+    EliminationOrder(greedy(h, fill).0)
 }
 
 /// An upper bound on `tw(H)` together with a witnessing decomposition,
-/// obtained from the better of the min-degree and min-fill heuristics.
+/// obtained from the better of the min-degree and min-fill heuristics
+/// (min-degree on a tie).
 pub fn treewidth_upper_bound(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    let candidates = [min_degree_order(h), min_fill_order(h)];
-    let best = candidates
+    let (order, bags) = [greedy(h, degree), greedy(h, fill)]
         .into_iter()
-        .min_by_key(|o| o.width(h))
+        .min_by_key(|(_, bags)| width(bags))
         .expect("two candidates");
-    let w = best.width(h);
-    let mut td = best.decomposition(h);
-    td.ensure_all_vertices(h);
-    (w, td)
+    (width(&bags), tree(&order, bags))
+}
+
+/// The treewidth of a hypergraph as every caller in the workspace computes
+/// it: see [`Treewidth::of`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Treewidth {
+    /// The width of `decomposition`: `tw(H)` when `exact`, an upper bound
+    /// otherwise.
+    pub width: usize,
+    /// Whether `width` is `tw(H)`.
+    pub exact: bool,
+    /// A tree decomposition of `H` of width `width`.
+    pub decomposition: TreeDecomposition,
+}
+
+impl Treewidth {
+    /// The treewidth of `h`: [`treewidth_exact`] for hypergraphs of at most
+    /// 13 vertices, [`treewidth_upper_bound`] (reported as not exact) above.
+    pub fn of(h: &Hypergraph) -> Treewidth {
+        let exact = h.num_vertices() <= EXACT_TREEWIDTH_VERTICES;
+        let (width, decomposition) = if exact {
+            treewidth_exact(h)
+        } else {
+            treewidth_upper_bound(h)
+        };
+        Treewidth {
+            width,
+            exact,
+            decomposition,
+        }
+    }
 }
 
 /// Exact treewidth via dynamic programming over vertex subsets
@@ -179,9 +219,6 @@ pub fn treewidth_upper_bound(h: &Hypergraph) -> (usize, TreeDecomposition) {
 pub fn treewidth_exact(h: &Hypergraph) -> (usize, TreeDecomposition) {
     let n = h.num_vertices();
     assert!(n <= 24, "exact treewidth is limited to 24 vertices");
-    if n == 0 {
-        return (0, TreeDecomposition::single_bag(BTreeSet::new()));
-    }
     let adj = h.primal_graph();
     let adj_mask: Vec<u32> = adj
         .iter()
@@ -208,7 +245,7 @@ pub fn treewidth_exact(h: &Hypergraph) -> (usize, TreeDecomposition) {
         (outside & !(1u32 << v)).count_ones()
     };
 
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+    let full: u32 = (1u32 << n) - 1;
     let size = 1usize << n;
     // An upper bound: the width of the greedy order that always eliminates
     // a vertex of minimum current degree.
@@ -259,11 +296,9 @@ pub fn treewidth_exact(h: &Hypergraph) -> (usize, TreeDecomposition) {
         s &= !(1usize << v);
     }
     order.reverse();
-    let ord = EliminationOrder(order);
-    debug_assert_eq!(ord.width(h), tw);
-    let mut td = ord.decomposition(h);
-    td.ensure_all_vertices(h);
-    (tw, td)
+    let bags = elimination_bags(adj, &order);
+    debug_assert_eq!(width(&bags), tw);
+    (tw, tree(&order, bags))
 }
 
 #[cfg(test)]
@@ -397,6 +432,31 @@ mod tests {
             assert!(td.validate(&h).is_ok());
             assert_eq!(td.width(), w as isize);
         }
+    }
+
+    #[test]
+    fn treewidth_is_exact_up_to_thirteen_vertices() {
+        let h = path(13);
+        let (tw, td) = treewidth_exact(&h);
+        assert_eq!(
+            Treewidth::of(&h),
+            Treewidth {
+                width: tw,
+                exact: true,
+                decomposition: td,
+            }
+        );
+        let h = path(14);
+        let (ub, td) = treewidth_upper_bound(&h);
+        assert_eq!(
+            Treewidth::of(&h),
+            Treewidth {
+                width: ub,
+                exact: false,
+                decomposition: td,
+            }
+        );
+        assert_eq!(ub, 1);
     }
 
     #[test]

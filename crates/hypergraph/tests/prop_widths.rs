@@ -72,8 +72,6 @@ proptest! {
     #[test]
     fn nice_decomposition_preserves_width(h in small_hypergraph()) {
         let (tw, td) = treewidth_exact(&h);
-        let mut td = td;
-        td.ensure_all_vertices(&h);
         let nice = td.into_nice();
         prop_assert!(nice.validate_nice().is_ok(), "{:?}", nice.validate_nice());
         prop_assert!(nice.td.validate(&h).is_ok(), "{:?}", nice.td.validate(&h));

@@ -46,9 +46,9 @@
 //! plus persistent pool workers) repeatedly claim the next chunk of
 //! indices from a shared atomic cursor, so a slow chunk on one participant
 //! does not idle the others. Results are returned **in index order**,
-//! making `par_map` a drop-in replacement for a serial `map` loop.
-//! [`Runtime::par_reduce`] folds the mapped results in index order (again
-//! scheduling-independent), and [`Runtime::par_any_n`] evaluates an
+//! making `par_map` a drop-in replacement for a serial `map` loop, and a
+//! fold over them in index order (first minimum, floating-point sums)
+//! scheduling-independent. [`Runtime::par_any_n`] evaluates an
 //! order-insensitive "∃ index with predicate" with cooperative early exit.
 //!
 //! Work is executed by the **persistent worker pool** of [`pool`], the
@@ -216,9 +216,8 @@ impl Runtime {
 
     /// Chunk size for `n` items: small enough that work can be stolen
     /// (≈ 4 chunks per worker), large enough to amortise the cursor
-    /// traffic. Public so callers that pre-chunk their own inputs (e.g.
-    /// slice-local reductions) share one chunking policy.
-    pub fn chunk_size(&self, n: usize) -> usize {
+    /// traffic.
+    fn chunk_size(&self, n: usize) -> usize {
         n.div_ceil(self.threads * 4).max(1)
     }
 
@@ -278,20 +277,6 @@ impl Runtime {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.par_map_n(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Parallel map-then-fold: map `f` over `items` in parallel and fold
-    /// the results **in index order** with `fold` on the calling thread.
-    /// The index-ordered fold keeps non-commutative reductions (first
-    /// minimum, floating-point sums) bit-identical to the serial loop.
-    pub fn par_reduce<T, R, A, F, G>(&self, items: &[T], f: F, init: A, fold: G) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.par_map(items, f).into_iter().fold(init, fold)
     }
 
     /// Does `pred` hold for any index in `0..n`? Evaluates items in
@@ -368,26 +353,6 @@ mod tests {
         let rt = Runtime::new(8);
         assert_eq!(rt.par_map_n(0, |i| i), Vec::<usize>::new());
         assert_eq!(rt.par_map_n(1, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn par_reduce_folds_in_index_order() {
-        // string concatenation is order-sensitive: catches any shuffle
-        let items: Vec<usize> = (0..100).collect();
-        let serial: String = items.iter().map(|i| format!("{i},")).collect();
-        for threads in [1, 2, 8] {
-            let rt = Runtime::new(threads);
-            let folded = rt.par_reduce(
-                &items,
-                |_, i| format!("{i},"),
-                String::new(),
-                |mut acc, s| {
-                    acc.push_str(&s);
-                    acc
-                },
-            );
-            assert_eq!(folded, serial);
-        }
     }
 
     #[test]

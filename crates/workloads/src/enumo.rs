@@ -19,7 +19,7 @@
 use crate::graphs::erdos_renyi;
 use crate::mix::{split_seed, RequestSpec};
 use cqc_data::{write_facts, Structure, StructureBuilder};
-use cqc_hypergraph::treewidth::{treewidth_exact, treewidth_upper_bound};
+use cqc_hypergraph::Treewidth;
 use cqc_query::{parse_query, query_hypergraph, Query, QueryClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -158,8 +158,9 @@ pub enum Metric {
     Arity,
     /// `‖ϕ‖` as defined in Section 1.1 of the paper.
     Size,
-    /// Treewidth of `H(ϕ)` (exact for ≤ 13 variables, the depth/fhw proxy
-    /// used to keep enumerated suites inside the tractable regimes).
+    /// Treewidth of `H(ϕ)` ([`Treewidth::of`]: exact for ≤ 13 variables, an
+    /// upper bound above), the depth/fhw proxy used to keep enumerated
+    /// suites inside the tractable regimes.
     Treewidth,
 }
 
@@ -174,14 +175,7 @@ pub fn measure(query: &Query, metric: Metric) -> usize {
         Metric::ExistentialVars => query.num_vars() - query.num_free_vars(),
         Metric::Arity => query.max_arity(),
         Metric::Size => query.size(),
-        Metric::Treewidth => {
-            let h = query_hypergraph(query);
-            if query.num_vars() <= 13 {
-                treewidth_exact(&h).0
-            } else {
-                treewidth_upper_bound(&h).0
-            }
-        }
+        Metric::Treewidth => Treewidth::of(&query_hypergraph(query)).width,
     }
 }
 
