@@ -14,18 +14,6 @@ use cqc_data::Structure;
 use cqc_runtime::resolve_threads;
 use std::fmt::Write as _;
 
-fn parse_backend(raw: &str) -> Result<Backend, CliError> {
-    match raw {
-        "auto" => Ok(Backend::Auto),
-        "fpras" => Ok(Backend::Fpras),
-        "fptras" => Ok(Backend::Fptras),
-        "exact" | "brute" | "bruteforce" => Ok(Backend::Exact),
-        other => Err(CliError::Usage(format!(
-            "unknown method `{other}` (expected auto | fpras | fptras | exact)"
-        ))),
-    }
-}
-
 /// Load the extra databases passed as positional facts files.
 fn load_extra_databases(args: &Args) -> Result<Vec<(String, Structure)>, CliError> {
     args.positional()
@@ -59,7 +47,11 @@ pub fn run_count(args: &Args) -> Result<String, CliError> {
     let query = load_query(args)?;
     let first_db = load_database(args)?;
     let cfg = approx_config(args)?;
-    let backend = parse_backend(args.value_of("method").unwrap_or("auto"))?;
+    let backend: Backend = args
+        .value_of("method")
+        .unwrap_or("auto")
+        .parse()
+        .map_err(CliError::Usage)?;
     let repeat: usize = args.get_or("repeat", 1)?;
     if repeat == 0 {
         return Err(CliError::Usage("`--repeat` must be at least 1".into()));
@@ -187,11 +179,16 @@ E 3 2
 
     #[test]
     fn method_parsing() {
-        assert_eq!(parse_backend("auto").unwrap(), Backend::Auto);
-        assert_eq!(parse_backend("fpras").unwrap(), Backend::Fpras);
-        assert_eq!(parse_backend("fptras").unwrap(), Backend::Fptras);
-        assert_eq!(parse_backend("brute").unwrap(), Backend::Exact);
-        assert!(parse_backend("magic").is_err());
+        let parse = |raw: &str| raw.parse::<Backend>();
+        assert_eq!(parse("auto").unwrap(), Backend::Auto);
+        assert_eq!(parse("fpras").unwrap(), Backend::Fpras);
+        assert_eq!(parse("fptras").unwrap(), Backend::Fptras);
+        assert_eq!(parse("brute").unwrap(), Backend::Exact);
+        assert_eq!(parse("bruteforce").unwrap(), Backend::Exact);
+        assert_eq!(
+            parse("magic").unwrap_err(),
+            "unknown method `magic` (expected auto | fpras | fptras | exact)"
+        );
     }
 
     #[test]

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod audit;
 pub mod classify;
 pub mod count;
 pub mod generate;
@@ -47,9 +46,6 @@ pub enum CliError {
     Facts(String),
     /// The counting algorithm rejected the instance.
     Count(String),
-    /// `cqc audit` found unwaived violations; the payload is the rendered
-    /// report. Mapped to exit code 1 (usage errors exit 2).
-    Audit(String),
 }
 
 impl fmt::Display for CliError {
@@ -60,7 +56,6 @@ impl fmt::Display for CliError {
             CliError::Io(m) => write!(f, "io error: {m}"),
             CliError::Facts(m) => write!(f, "facts file error: {m}"),
             CliError::Count(m) => write!(f, "counting error: {m}"),
-            CliError::Audit(report) => write!(f, "audit failed:\n{report}"),
         }
     }
 }
@@ -99,8 +94,6 @@ COMMANDS:
                baseline (`report bench`), or analyse a wide-event request
                log: slowest requests, per-class latency, shed timeline
                (`report requests`)
-    audit      Run the determinism & unsafety static-analysis pass over the
-               workspace sources (exit 0 clean / 1 violations / 2 usage)
     help       Show this message
 
 COMMON OPTIONS:
@@ -218,13 +211,6 @@ REPORT OPTIONS (cqc report requests):
                           scrape, or a flight dump)
     --top N               slowest requests to list (default 10)
 
-AUDIT OPTIONS:
-    --root DIR            workspace to audit (default: ascend from the current
-                          directory to the nearest [workspace] Cargo.toml)
-    --format F            text | json                        (default text)
-    --out PATH            also write the JSON report (AUDIT_report.json in CI),
-                          even when the run fails
-
 GENERATE OPTIONS:
     --family F            erdos-renyi | grid | regular | ternary
     --n N                 number of vertices / universe size
@@ -263,7 +249,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "generate" => generate::run_generate(&args)?,
         "report" => report::run_report(&args)?,
         "suite" => suite::run_suite(&args)?,
-        "audit" => audit::run_audit(&args)?,
         "help" | "--help" | "-h" => USAGE.to_string(),
         other => {
             return Err(CliError::Usage(format!(
@@ -283,13 +268,13 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The process exit code for a [`run`] result: 0 on success, 1 when the
-/// audit found violations, 2 for every other error (usage, io, …).
+/// The process exit code for a [`run`] result: 0 on success, 2 for every
+/// error (usage, io, …).
 pub fn exit_code<T>(result: &Result<T, CliError>) -> i32 {
-    match result {
-        Ok(_) => 0,
-        Err(CliError::Audit(_)) => 1,
-        Err(_) => 2,
+    if result.is_ok() {
+        0
+    } else {
+        2
     }
 }
 

@@ -574,7 +574,7 @@ mod tests {
             assert!(matches!(err, CliError::Usage(_)), "{bad:?} -> {err}");
         }
         // the exit-code convention: usage errors (unknown suite included)
-        // exit 2, distinct from audit's 1 and success's 0
+        // exit 2, success exits 0
         let result = crate::run(&[
             "loadgen".to_string(),
             "--suite".to_string(),

@@ -5,9 +5,6 @@ fn main() {
     let result = cqc_cli::run(&argv);
     match &result {
         Ok(output) => print!("{output}"),
-        // Audit violations are findings, not usage errors: print the
-        // diagnostics themselves and exit 1 (scriptable, like a linter).
-        Err(cqc_cli::CliError::Audit(report)) => print!("{report}"),
         // Only a malformed command line gets the usage text; any other
         // error is the one line that explains it.
         Err(err @ cqc_cli::CliError::Usage(_)) => {

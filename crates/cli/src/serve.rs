@@ -9,6 +9,10 @@
 //!  "db_files": ["monday.facts", "tuesday.facts"], "seed": 7, "shards": 4}
 //! ```
 //!
+//! `db_files` entries are relative paths that must resolve, symlinks
+//! followed, to files under the server's working directory; any other path
+//! is refused with one fixed `bad request` message.
+//!
 //! Work item `i` of a request always runs under the derived seed
 //! `split_seed(seed, i)`, so responses are byte-identical for every shard
 //! count and thread count — `--shards`/`--threads` tune wall time only.
@@ -169,6 +173,10 @@ fn run_listen(args: &Args, listen: &str, server_config: ServerConfig) -> Result<
     // *not* a signal, so daemonised servers run until killed or until
     // `--max-requests` fires (in which case the process exits and takes
     // this thread with it).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the signal pipe blocks on stdin for the server's life; a pool worker would be lost to it"
+    )]
     std::thread::Builder::new()
         .name("cqc-serve-signal-pipe".into())
         .spawn(move || {
@@ -217,21 +225,20 @@ E 5 0
 
     fn request_line(db_path: &str, shards: usize) -> String {
         format!(
-            r#"{{"id": 9, "query": "ans(x) :- E(x, y), E(x, z), y != z", "db_files": ["{}"], "seed": 5, "shards": {shards}}}"#,
-            db_path.replace('\\', "\\\\")
+            r#"{{"id": 9, "query": "ans(x) :- E(x, y), E(x, z), y != z", "db_files": ["{db_path}"], "seed": 5, "shards": {shards}}}"#
         )
     }
 
     #[test]
     fn serve_answers_requests_from_a_file() {
-        let db = write_temp("db.facts", DB);
+        // `db_files` entries must lie under the server's working directory
+        // (the crate directory under `cargo test`), so the database is
+        // written there and named by a relative path.
+        let db = format!("cqc-cli-serve-{}-db.facts", std::process::id());
+        std::fs::write(&db, DB).unwrap();
         let requests = write_temp(
             "reqs.jsonl",
-            &format!(
-                "{}\n{}\n",
-                request_line(db.to_str().unwrap(), 1),
-                request_line(db.to_str().unwrap(), 2)
-            ),
+            &format!("{}\n{}\n", request_line(&db, 1), request_line(&db, 2)),
         );
         let out =
             run_serve(&args_from(["serve", "--requests", requests.to_str().unwrap()]).unwrap())
@@ -301,6 +308,10 @@ E 5 0
         };
         std::fs::remove_file(&addr_file).ok();
         let addr_file_arg = addr_file.to_str().unwrap().to_string();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test drives a blocking server from its own thread"
+        )]
         let server = std::thread::spawn(move || {
             run_serve(
                 &args_from([
@@ -319,7 +330,7 @@ E 5 0
         // wait (bounded) for the readiness file, then drive the server
         // over raw NDJSON; the deadline turns a wedged server thread into
         // a test failure instead of a suite hang
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let waited = cqc_obs::Stopwatch::start();
         let addr = loop {
             if let Ok(text) = std::fs::read_to_string(&addr_file) {
                 if text.trim().parse::<std::net::SocketAddr>().is_ok() {
@@ -327,7 +338,7 @@ E 5 0
                 }
             }
             assert!(
-                std::time::Instant::now() < deadline,
+                waited.elapsed() < std::time::Duration::from_secs(30),
                 "server never wrote its addr file"
             );
             std::thread::sleep(std::time::Duration::from_millis(10));

@@ -66,6 +66,24 @@ pub enum Backend {
     Exact,
 }
 
+impl std::str::FromStr for Backend {
+    type Err = String;
+
+    /// Parse a backend name as the CLI's `--method` and a serve request's
+    /// `method` spell it; `brute` and `bruteforce` are aliases of `exact`.
+    fn from_str(raw: &str) -> Result<Backend, String> {
+        match raw {
+            "auto" => Ok(Backend::Auto),
+            "fpras" => Ok(Backend::Fpras),
+            "fptras" => Ok(Backend::Fptras),
+            "exact" | "brute" | "bruteforce" => Ok(Backend::Exact),
+            other => Err(format!(
+                "unknown method `{other}` (expected auto | fpras | fptras | exact)"
+            )),
+        }
+    }
+}
+
 /// The method [`Backend::Auto`] selects for a query class — the Figure 1
 /// dispatch, shared by [`Engine::prepare`] and diagnostic frontends (e.g.
 /// `cqc classify`) so the policy lives in exactly one place.

@@ -25,37 +25,34 @@ use crate::oracle::{full_parts, EdgeFreeOracle};
 use rand::Rng;
 use std::collections::BTreeSet;
 
-/// Tuning parameters of the approximate counter.
+/// Base number of surviving edges aimed for in each sub-sample (scaled by
+/// `ε⁻²`).
+const THRESHOLD_FACTOR: f64 = 16.0;
+
+/// Hard cap on the number of independent sub-samples per group.
+const MAX_GROUP_SIZE: usize = 24;
+
+/// Accuracy parameters of the approximate counter.
 #[derive(Debug, Clone)]
 pub struct DlmConfig {
     /// Target relative error `ε ∈ (0, 1)`.
     pub epsilon: f64,
     /// Target failure probability `δ ∈ (0, 1)`.
     pub delta: f64,
-    /// Base number of surviving edges aimed for in each sub-sample
-    /// (scaled by `ε⁻²`).
-    pub threshold_factor: f64,
-    /// Hard cap on the number of independent sub-samples per group.
-    pub max_group_size: usize,
 }
 
 impl DlmConfig {
-    /// A configuration with the given accuracy parameters and default tuning.
+    /// A configuration with the given accuracy parameters.
     pub fn new(epsilon: f64, delta: f64) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0, "ε must be in (0,1)");
         assert!(delta > 0.0 && delta < 1.0, "δ must be in (0,1)");
-        DlmConfig {
-            epsilon,
-            delta,
-            threshold_factor: 16.0,
-            max_group_size: 24,
-        }
+        DlmConfig { epsilon, delta }
     }
 
-    /// The per-sample target count `T = threshold_factor / ε²`, capped to
+    /// The per-sample target count `T = THRESHOLD_FACTOR / ε²`, capped to
     /// avoid pathological budgets.
     fn threshold(&self) -> u64 {
-        ((self.threshold_factor / (self.epsilon * self.epsilon)).ceil() as u64).clamp(16, 200_000)
+        ((THRESHOLD_FACTOR / (self.epsilon * self.epsilon)).ceil() as u64).clamp(16, 200_000)
     }
 
     /// Number of median groups `Θ(log 1/δ)`.
@@ -65,7 +62,7 @@ impl DlmConfig {
 
     /// Sub-samples averaged within each group.
     fn group_size(&self) -> usize {
-        ((4.0 / (self.epsilon * self.epsilon)).ceil() as usize).clamp(1, self.max_group_size)
+        ((4.0 / (self.epsilon * self.epsilon)).ceil() as usize).clamp(1, MAX_GROUP_SIZE)
     }
 }
 

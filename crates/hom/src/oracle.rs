@@ -378,6 +378,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a performance bound on the test itself; cqc-hom has no cqc-obs to time with"
+    )]
     fn memo_keeps_layered_dags_fast() {
         // 16 layers of 4: the 15-edge path maps, the 16-edge path does not.
         // Without the memo, refuting the 16-edge path walks every partial

@@ -190,7 +190,7 @@ impl TreeDecomposition {
             r
         };
         // Sorted map: node renumbering must stay independent of hash
-        // order (cqc-audit `hash-iter` — decomposition shape reaches
+        // order (the `hash-iter` rule — decomposition shape reaches
         // every oracle call and therefore every estimate).
         let new_id: std::collections::BTreeMap<usize, usize> =
             reps.iter().enumerate().map(|(i, &r)| (r, i)).collect();
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn contraction_renumbering_is_deterministic() {
-        // Regression for the cqc-audit `hash-iter` conversion: node
+        // Regression for the `hash-iter` conversion: node
         // renumbering walks a sorted map, so repeated contractions of one
         // tree are structurally identical (node ids included) — whatever
         // the process hash state.

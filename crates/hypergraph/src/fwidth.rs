@@ -13,7 +13,8 @@ use crate::hypergraph::Hypergraph;
 use crate::hypertree::integral_cover_number;
 use crate::treewidth::{elimination_bags, min_degree_order, min_fill_order, EliminationOrder};
 use cqc_runtime::Runtime;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Mutex;
 
 /// Named width measures used for reporting and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,12 +79,15 @@ const RESTARTS: usize = 32;
 ///   random orders.
 ///
 /// An order's score is the maximum bag cost over its per-vertex elimination
-/// bags, which are exactly the bags of the decomposition it induces. Every
-/// elimination order yields a valid tree decomposition, so the result is
-/// always a correct decomposition of `H`; optimality is guaranteed only in
-/// the exhaustive regime (and even there only over decompositions induced by
-/// elimination orders, which is exact for treewidth and an upper bound for
-/// other measures — see `docs/ARCHITECTURE.md`, Substitutions).
+/// bags, which are exactly the bags of the decomposition it induces. Orders
+/// share most of their bags (the 8! orders of the 8-vertex path have 92
+/// distinct bags among their 322,560), so `f` runs once per distinct bag.
+/// Every elimination order yields a valid tree decomposition, so the
+/// result is always a correct decomposition of `H`; optimality is
+/// guaranteed only in the exhaustive regime (and even there only over
+/// decompositions induced by elimination orders, which is exact for
+/// treewidth and an upper bound for other measures — see
+/// `docs/ARCHITECTURE.md`, Substitutions).
 ///
 /// Deterministic: the search keeps the **first** candidate (in enumeration
 /// order) attaining the minimum width, so the winning decomposition is
@@ -97,10 +101,22 @@ where
     }
     let mut orders = candidate_orders(h);
     let primal = h.primal_graph();
+    // `f` is a function of the bag alone, so whichever order scores a bag
+    // first, every order reads the same cost. The lock is not held while
+    // `f` runs, so distinct bags are still scored in parallel.
+    let costs: Mutex<HashMap<BTreeSet<usize>, f64>> = Mutex::default();
+    let cost = |bag: BTreeSet<usize>| {
+        let known = costs.lock().expect("bag-cost memo").get(&bag).copied();
+        known.unwrap_or_else(|| {
+            let c = f(h, &bag);
+            costs.lock().expect("bag-cost memo").insert(bag, c);
+            c
+        })
+    };
     let widths = runtime.par_map(&orders, |_, order| {
         elimination_bags(primal.clone(), order)
-            .iter()
-            .map(|b| f(h, b))
+            .into_iter()
+            .map(&cost)
             .fold(f64::NEG_INFINITY, f64::max)
     });
     let best = (1..widths.len()).fold(0, |best, i| if widths[i] < widths[best] { i } else { best });

@@ -9,6 +9,15 @@
 //! and never talks to the engine — it is pure buffering and framing, which
 //! keeps the response bytes a function of the request bytes alone.
 
+// The serve request path: a panic here turns one bad request into a dead
+// worker or connection. A sanctioned site carries a reasoned `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::http::{self, HttpError, Request, MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES};
 use cqc_obs::Stopwatch;
 use std::io::{ErrorKind, Read, Write};

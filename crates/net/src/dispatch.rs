@@ -16,6 +16,15 @@
 //! rather than silently killing the connection — the
 //! thread-per-connection model swallowed those panics on `JoinHandle` reap.
 
+// The serve request path: a panic here turns one bad request into a dead
+// worker or connection. A sanctioned site carries a reasoned `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::http::{finish_chunks, write_chunk, write_chunked_head, write_response_with};
 use crate::server::{error_body, Shared};
 use cqc_obs::wide::Outcome;
@@ -247,7 +256,10 @@ pub(crate) struct WideCtx {
 /// slow-request trigger. Drains the phase accumulator armed before the
 /// handler ran; `trace_override` (the HTTP `traceparent` header) wins over
 /// a `trace` member noted from the request body.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one wide event's fields, gathered at a single call site"
+)]
 fn emit_wide(
     shared: &Shared,
     ctx: &WideCtx,

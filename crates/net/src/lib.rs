@@ -16,8 +16,9 @@
 //! The workspace has no crates.io access, so everything here — HTTP
 //! parsing, readiness polling, metrics, the client — is built on
 //! `std::net` and `std::io` alone. The single `unsafe` region (the
-//! `poll(2)` call in [`poll`]) is inventoried and audited exactly like the
-//! worker pool's.
+//! `poll(2)` call in [`poll`]) carries its own
+//! `#[expect(unsafe_code, reason = …)]` under this crate's
+//! `#![deny(unsafe_code)]`, exactly like the worker pool's.
 //!
 //! The design constraint inherited from the rest of the workspace is
 //! **determinism over the wire**: response bodies are byte-identical

@@ -224,6 +224,10 @@ fn run_with(
         .rendezvous
         .then(|| std::sync::Barrier::new(connections + 1));
     let mut started = Stopwatch::start();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one blocking client socket per connection, outside the engine; no estimate runs here"
+    )]
     std::thread::scope(|scope| -> std::io::Result<()> {
         let mut workers = Vec::new();
         for c in 0..connections {
@@ -263,6 +267,10 @@ fn run_with(
                     .extend(local_latencies);
                 Ok(())
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a connection thread with a caller-set stack size, same role as scope.spawn"
+            )]
             let handle = match config.stack_size {
                 None => scope.spawn(body),
                 Some(stack) => std::thread::Builder::new()

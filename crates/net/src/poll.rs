@@ -1,18 +1,27 @@
 //! A minimal std-only shim over `poll(2)` — the readiness primitive under
 //! the event loop in [`crate::server`].
 //!
-//! The workspace vendors everything it needs (JSON, HTTP, audit lexer), and
-//! readiness notification is no different: one `extern "C"` declaration and
-//! a safe wrapper, instead of a `libc`/`mio` dependency. This module is the
-//! crate's **only** unsafe code (the call into `poll`); it is inventoried in
-//! `tests/golden/unsafe_inventory.txt` and fenced by the `unsafe-code`
-//! audit rule, exactly like `cqc-runtime::pool`.
+//! The workspace vendors everything it needs (JSON, HTTP), and readiness
+//! notification is no different: one `extern "C"` declaration and a safe
+//! wrapper, instead of a `libc`/`mio` dependency. This module holds the
+//! crate's **only** unsafe code, the call into `poll`. The crate root
+//! denies `unsafe_code`, and that one call carries an
+//! `#[expect(unsafe_code, reason = …)]`, exactly like the regions of
+//! `cqc-runtime::pool`, so a second region fails to compile.
 //!
 //! On non-unix targets a degenerate fallback reports every requested event
 //! as ready after a short sleep, degrading the event loop to a slow
 //! spin-poll — correct (non-blocking sockets return `WouldBlock`), just not
 //! efficient. The serving targets are unix.
-#![allow(unsafe_code)]
+
+// The serve request path: a panic here turns one bad request into a dead
+// worker or connection. A sanctioned site carries a reasoned `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 /// Readable data (or a peer close) is pending.
 pub const POLLIN: i16 = 0x001;
@@ -96,6 +105,10 @@ mod sys {
             fd.revents = 0;
         }
         loop {
+            #[expect(
+                unsafe_code,
+                reason = "the poll(2) call; the SAFETY comment below holds for every call"
+            )]
             // SAFETY: `fds` is a valid, exclusively borrowed slice for the
             // duration of the call; `PollFd` is `#[repr(C)]` and layout-
             // compatible with `struct pollfd`; the length is passed

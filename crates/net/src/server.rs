@@ -66,6 +66,15 @@
 //! the event thread exits, and [`RunningServer::wait`] /
 //! [`RunningServer::shutdown`] return the total count requests served.
 
+// The serve request path: a panic here turns one bad request into a dead
+// worker or connection. A sanctioned site carries a reasoned `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::conn::{Conn, HttpNext, NdjsonNext, Proto};
 use crate::dispatch::{Dispatcher, Job, JobKind, Token};
 use crate::http::{write_response, write_response_with, MAX_BODY_BYTES};
@@ -458,6 +467,10 @@ impl RunningServer {
             accept_backoff: false,
             drain: None,
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the event loop owns the listener and blocks in poll(2); request work runs on the pool"
+        )]
         let event = std::thread::Builder::new()
             .name("cqc-net-event".into())
             .spawn(move || event_loop.run())?;
@@ -506,7 +519,10 @@ impl RunningServer {
     pub fn shutdown(mut self) -> u64 {
         self.shared.signal();
         if let Some(handle) = self.event.take() {
-            // cqc-audit: allow(serve-panic) — shutdown path, not request handling; re-raising an event-thread panic is the only sound option
+            #[expect(
+                clippy::expect_used,
+                reason = "shutdown path, not request handling; re-raising an event-thread panic is the only sound option"
+            )]
             handle.join().expect("event thread panicked");
         }
         self.served()
@@ -517,7 +533,10 @@ impl RunningServer {
     /// total count requests served.
     pub fn wait(mut self) -> u64 {
         if let Some(handle) = self.event.take() {
-            // cqc-audit: allow(serve-panic) — shutdown path, not request handling; re-raising an event-thread panic is the only sound option
+            #[expect(
+                clippy::expect_used,
+                reason = "shutdown path, not request handling; re-raising an event-thread panic is the only sound option"
+            )]
             handle.join().expect("event thread panicked");
         }
         self.served()

@@ -220,7 +220,7 @@ fn shutdown_is_not_blocked_by_a_stalled_mid_request_peer() {
     let mut stalled = TcpStream::connect(server.addr()).unwrap();
     stalled.write_all(b"POST /count HT").unwrap();
     std::thread::sleep(std::time::Duration::from_millis(100));
-    let started = std::time::Instant::now();
+    let started = cqc_obs::Stopwatch::start();
     let served = server.shutdown();
     assert_eq!(served, 0);
     assert!(
@@ -326,6 +326,10 @@ fn max_requests_triggers_self_shutdown() {
     )
     .unwrap();
     let addr = server.addr();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test client that must run beside the server's own threads"
+    )]
     let t = std::thread::spawn(move || {
         for _ in 0..2 {
             let mut stream = TcpStream::connect(addr).unwrap();

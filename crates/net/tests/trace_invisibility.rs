@@ -121,6 +121,10 @@ fn tracing_never_changes_a_byte_on_the_wire() {
         .expect("bind");
         let addr = server.addr();
         let stop = Arc::new(AtomicBool::new(false));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test scraper that must run beside the server's own threads"
+        )]
         let scraper = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {

@@ -54,7 +54,7 @@ fn transcripts_are_byte_identical_across_pools_connections_and_shards() {
         t.replace("\"shards\":1", "\"shards\":N")
             .replace("\"shards\":4", "\"shards\":N")
     };
-    let before = std::time::Instant::now();
+    let before = cqc_obs::Stopwatch::start();
     for pool_width in [1usize, 2, 8] {
         set_worker_cap(pool_width);
         for connections in [1usize, 4] {

@@ -1,11 +1,12 @@
 //! The workspace's sole sanctioned wall clock.
 //!
-//! The `cqc-audit` `wall-clock` rule flags every `Instant::now()` /
-//! `SystemTime` read outside this crate: timing that leaks into an
-//! estimate or a branch is a determinism hazard, so all of it funnels
-//! through here, where the API makes the read-only contract structural —
-//! a [`Stopwatch`] yields `Duration`s that land in telemetry fields and
-//! trace events, and nothing else.
+//! Clippy's `disallowed_methods`/`disallowed_types` (see `clippy.toml`)
+//! reject every `Instant::now()` / `SystemTime` read in the workspace:
+//! timing that leaks into an estimate or a branch is a determinism hazard,
+//! so all of it funnels through here, where each read carries the one
+//! sanctioned `#[expect]` and the API makes the read-only contract
+//! structural — a [`Stopwatch`] yields `Duration`s that land in telemetry
+//! fields and trace events, and nothing else.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -19,6 +20,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Start timing now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned wall clock: the Duration feeds telemetry only"
+    )]
     pub fn start() -> Stopwatch {
         Stopwatch {
             started: Instant::now(),
@@ -33,6 +38,10 @@ impl Stopwatch {
 
     /// Reset the timer to now (idle-deadline tracking: restart on every
     /// successful read, expire when `elapsed` crosses the timeout).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned wall clock: the Duration feeds telemetry only"
+    )]
     pub fn restart(&mut self) {
         self.started = Instant::now();
     }
@@ -44,6 +53,10 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Monotonic nanoseconds since the process-wide trace epoch. Used only to
 /// stamp trace events — the values are scheduling-dependent, which is why
 /// the deterministic span-tree comparison excludes them.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned wall clock: trace timestamps, excluded from span-tree comparison"
+)]
 pub fn now_nanos() -> u64 {
     let epoch = *EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -53,6 +66,10 @@ pub fn now_nanos() -> u64 {
 /// orderable across process restarts (flight-recorder dump files). Like
 /// every read in this module the value feeds telemetry only — it never
 /// reaches an estimate or a branch on the request path.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned wall clock: names flight-recorder dumps only"
+)]
 pub fn unix_millis() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

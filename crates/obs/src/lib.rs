@@ -6,9 +6,9 @@
 //! write-only from the perspective of the computation: counters and
 //! histograms are relaxed atomics nothing reads back on the request path,
 //! spans land in per-thread buffers that only [`trace::drain`] consumes,
-//! and wall-clock reads are confined to [`clock`] (the sole site the
-//! `cqc-audit` `wall-clock` rule sanctions), feeding telemetry fields that
-//! never reach a branch or an estimate.
+//! and wall-clock reads are confined to [`clock`] (the only module with
+//! sanctioned `#[expect]`s for clippy's wall-clock bans), feeding
+//! telemetry fields that never reach a branch or an estimate.
 //!
 //! The crate is the workspace's dependency root (it depends on nothing),
 //! which is why [`seed::split_seed`] lives here: the runtime, the engines

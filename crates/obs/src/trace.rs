@@ -283,8 +283,7 @@ pub fn drain() -> Trace {
 /// Append `raw` to `out` as the body of a JSON string literal (no
 /// surrounding quotes): quotes, backslashes and control characters are
 /// escaped. The workspace's one JSON string escaper — the trace and
-/// wide-event NDJSON, the serve wire format and the audit report all write
-/// strings through it.
+/// wide-event NDJSON and the serve wire format write strings through it.
 pub fn escape_json(raw: &str, out: &mut String) {
     for c in raw.chars() {
         match c {

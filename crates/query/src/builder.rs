@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 pub struct QueryBuilder {
     names: Vec<String>,
     // Sorted maps throughout the builder: variable numbering and arity
-    // checks must never depend on hash-iteration order (cqc-audit
-    // `hash-iter` rule — the query plan feeds every estimate).
+    // checks must never depend on hash-iteration order (the `hash-iter`
+    // rule of clippy.toml — the query plan feeds every estimate).
     by_name: BTreeMap<String, Var>,
     free: Vec<Var>,
     literals: Vec<Literal>,
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn renumbering_is_reproducible_across_builds() {
-        // Regression for the cqc-audit `hash-iter` conversion: dense
+        // Regression for the `hash-iter` conversion: dense
         // renumbering walks a sorted map, so two independent builds of the
         // same query agree exactly — whatever the process hash state.
         let build = || {

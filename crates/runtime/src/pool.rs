@@ -15,7 +15,11 @@
 //! cursor internally). The closure borrows the caller's stack — results
 //! sink, work cursor, the user's `f` — so handing it to threads that
 //! outlive the call requires erasing its lifetime. That erasure is
-//! contained in this module, and it is sound because of a strict protocol:
+//! contained in this module: its three `unsafe` regions (the `Send` impl,
+//! the transmute and the worker's call) each carry an
+//! `#[expect(unsafe_code, reason = …)]` under the crate's
+//! `#![deny(unsafe_code)]`, so a fourth region fails to compile. It is
+//! sound because of a strict protocol:
 //!
 //! 1. **Publish.** [`Pool::execute`] installs the erased closure under
 //!    the pool mutex together with a *slot count* (how many helpers may
@@ -66,8 +70,6 @@
 //! is spawned, so one long detached job never starves the rest of the
 //! queue, even at width 1.
 
-#![allow(unsafe_code)]
-
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -109,6 +111,10 @@ struct ErasedJob(*const (dyn Fn() + Sync));
 // SAFETY: the pointee is `Sync` (shared calls from many threads are fine)
 // and outlives every dereference by the retire-before-return protocol; the
 // raw pointer is only a lifetime-erasure device, never used for mutation.
+#[expect(
+    unsafe_code,
+    reason = "ErasedJob crosses to pool workers; the retire-before-return protocol keeps its pointee alive"
+)]
 unsafe impl Send for ErasedJob {}
 
 struct State {
@@ -319,6 +325,10 @@ impl Pool {
     fn grow(&self, st: &mut State, target: usize) {
         while st.spawned < target {
             let shared = Arc::clone(&self.shared);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool's own workers: the one place compute threads are started"
+            )]
             let spawned = std::thread::Builder::new()
                 .name("cqc-pool-worker".into())
                 .spawn(move || worker_loop(&shared));
@@ -348,6 +358,10 @@ impl Drop for Pool {
 /// ([`Pool::execute`]) must not return (or unwind) past `body`'s
 /// lifetime until every claimed slot has retired and all unclaimed slots
 /// are cancelled, which it enforces with its drop guard.
+#[expect(
+    unsafe_code,
+    reason = "lifetime erasure of a scoped job, sound under the retire-before-return protocol"
+)]
 fn erase<'a>(body: &'a (dyn Fn() + Sync)) -> ErasedJob {
     let short: *const (dyn Fn() + Sync + 'a) = body;
     ErasedJob(unsafe {
@@ -372,6 +386,10 @@ fn worker_loop(shared: &Shared) {
             // `job` was published, so the closure is alive until we
             // decrement `active` below (retire-before-return).
             IN_POOL_WORKER.with(|f| f.set(true));
+            #[expect(
+                unsafe_code,
+                reason = "calls the erased job inside a claimed slot, which its publisher outlives"
+            )]
             let ok = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() })).is_ok();
             IN_POOL_WORKER.with(|f| f.set(false));
             st = shared.state.lock().unwrap();
@@ -530,12 +548,10 @@ mod tests {
             // the other worker is idle, so it must join this scoped job;
             // a detached job flagged as a helper would run it inline alone
             let participants = AtomicUsize::new(0);
-            let deadline = std::time::Instant::now() + PATIENCE;
+            let waited = cqc_obs::Stopwatch::start();
             pool.execute(2, &|| {
                 participants.fetch_add(1, Ordering::SeqCst);
-                while participants.load(Ordering::SeqCst) < 2
-                    && std::time::Instant::now() < deadline
-                {
+                while participants.load(Ordering::SeqCst) < 2 && waited.elapsed() < PATIENCE {
                     std::thread::yield_now();
                 }
             });

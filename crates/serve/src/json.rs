@@ -324,6 +324,10 @@ impl Parser<'_> {
                     // consume one UTF-8 scalar
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| self.err("invalid UTF-8"))?;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "peek() returned a byte, so the rest of the input is non-empty"
+                    )]
                     let c = rest.chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -341,6 +345,10 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the scan above consumed ASCII digits, signs, dots and exponents only"
+        )]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         text.parse::<f64>()
             .map(Value::Num)

@@ -33,6 +33,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serve request path: a panic here turns one bad request into a dead
+// worker or connection. A sanctioned site carries a reasoned `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod json;
 pub mod server;

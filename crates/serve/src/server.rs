@@ -20,6 +20,15 @@
 //! the point of deriving item seeds instead of threading one RNG stream
 //! through the request.
 
+// The serve request path: a panic here turns one bad request into a dead
+// worker or connection. A sanctioned site carries a reasoned `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::json::{parse, Value};
 use cqc_core::{Backend, CoreError, Engine, EngineBuilder, EstimateReport, PreparedQuery};
 use cqc_data::{parse_facts, Structure};
@@ -29,6 +38,7 @@ use cqc_runtime::{split_seed, Runtime};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
+use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Tag index deriving a request's span ID from its seed
@@ -214,12 +224,15 @@ impl PlanCache {
         };
         let mut evicted = 0u64;
         while self.entries.len() > self.capacity {
+            #[expect(
+                clippy::expect_used,
+                reason = "the eviction loop runs only while len() > capacity ≥ 0, so the cache is non-empty"
+            )]
             let stalest = self
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, used))| *used)
                 .map(|(k, _)| k.clone())
-                // cqc-audit: allow(serve-panic) — unreachable: the eviction loop only runs while len() > capacity ≥ 0, so the cache is non-empty here
                 .expect("cache over capacity is non-empty");
             self.entries.remove(&stalest);
             evicted += 1;
@@ -260,8 +273,11 @@ impl Server {
     }
 
     /// Number of distinct prepared plans currently cached.
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning means a worker already panicked; aborting is the right response, not error recovery"
+    )]
     pub fn cached_plans(&self) -> usize {
-        // cqc-audit: allow(serve-panic) — lock poisoning implies a worker already panicked; aborting is the right response, not error recovery
         self.plans.lock().expect("plan cache lock").entries.len()
     }
 
@@ -358,7 +374,10 @@ impl Server {
             delta.to_bits(),
             backend_tag(backend),
         );
-        // cqc-audit: allow(serve-panic) — lock poisoning implies a worker already panicked; aborting is the right response, not error recovery
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning means a worker already panicked; aborting is the right response, not error recovery"
+        )]
         if let Some(plan) = self.plans.lock().expect("plan cache lock").get(&key) {
             self.counters.plan_cache_hits.inc();
             return Ok(plan);
@@ -374,10 +393,13 @@ impl Server {
         let prepared = engine
             .prepare(&query)
             .map_err(|e| ServeError::Count(e.to_string()))?;
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning means a worker already panicked; aborting is the right response, not error recovery"
+        )]
         let (canonical, evicted) = self
             .plans
             .lock()
-            // cqc-audit: allow(serve-panic) — lock poisoning implies a worker already panicked; aborting is the right response, not error recovery
             .expect("plan cache lock")
             .insert(key, Arc::new(prepared));
         if evicted > 0 {
@@ -493,10 +515,11 @@ impl Server {
         };
         let backend = match req.get("method") {
             None => Backend::Auto,
-            Some(v) => parse_backend(
-                v.as_str()
-                    .ok_or_else(|| ServeError::Request("`method` must be a string".into()))?,
-            )?,
+            Some(v) => v
+                .as_str()
+                .ok_or_else(|| ServeError::Request("`method` must be a string".into()))?
+                .parse()
+                .map_err(ServeError::Request)?,
         };
         let dbs = load_request_databases(req)?;
         // Beyond MAX_SHARDS_PER_ITEM × items every additional shard is
@@ -519,8 +542,11 @@ impl Server {
         let _span = cqc_obs::trace::Span::enter("request", split_seed(seed, REQUEST_SPAN_TAG));
         // Deliberate failure hook for crash-path testing, inert unless the
         // operator opted in (see [`ServerConfig::fail_injection`]).
+        #[expect(
+            clippy::panic,
+            reason = "the deliberate fail-injection hook, reachable only when ServerConfig::fail_injection is set"
+        )]
         if self.config.fail_injection && matches!(req.get("panic"), Some(Value::Bool(true))) {
-            // cqc-audit: allow(serve-panic) — deliberate fail-injection hook, reachable only when ServerConfig::fail_injection is set by a test harness
             panic!("fail injection: request carried `\"panic\": true`");
         }
         // Phase annotations for the request's wide event: armed by the
@@ -700,9 +726,12 @@ fn count_sharded_observed(
             merged[i] = Some(r);
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "shard_indices partitions 0..n, so exactly one shard filled every slot"
+    )]
     let out = merged
         .into_iter()
-        // cqc-audit: allow(serve-panic) — unreachable: shard_indices partitions 0..n, so every slot was filled by exactly one shard
         .map(|r| r.expect("every item owned by exactly one shard"))
         .collect();
     if let Some(hist) = merge_hist {
@@ -747,20 +776,41 @@ fn backend_tag(backend: Backend) -> u8 {
     }
 }
 
-fn parse_backend(raw: &str) -> Result<Backend, ServeError> {
-    match raw {
-        "auto" => Ok(Backend::Auto),
-        "fpras" => Ok(Backend::Fpras),
-        "fptras" => Ok(Backend::Fptras),
-        "exact" => Ok(Backend::Exact),
-        other => Err(ServeError::Request(format!(
-            "unknown method `{other}` (expected auto | fpras | fptras | exact)"
-        ))),
+/// The one refusal of a `db_files` entry that does not name a file under
+/// the server's working directory (rendered as `bad request: …`).
+const DB_FILE_OUTSIDE_ROOT: &str =
+    "`db_files` entries must be relative paths to files inside the server's working directory";
+
+/// Resolve a `db_files` entry against the server's working directory, the
+/// root every request's files must lie under. The entry must be a relative
+/// path of normal components (no `/`, `..`, `.` or prefix), and its
+/// canonical path, with every symlink followed, must stay under the
+/// canonical root; anything else is refused with [`DB_FILE_OUTSIDE_ROOT`].
+fn confined_db_file(path: &str) -> Result<PathBuf, ServeError> {
+    let refused = || ServeError::Request(DB_FILE_OUTSIDE_ROOT.to_string());
+    let relative = Path::new(path);
+    let normal = relative
+        .components()
+        .all(|c| matches!(c, Component::Normal(_)));
+    if path.is_empty() || !normal {
+        return Err(refused());
+    }
+    let root = std::env::current_dir()
+        .and_then(|dir| dir.canonicalize())
+        .map_err(|_| refused())?;
+    let resolved = root
+        .join(relative)
+        .canonicalize()
+        .map_err(|e| ServeError::Database(format!("cannot read `{path}`: {e}")))?;
+    if resolved.starts_with(&root) {
+        Ok(resolved)
+    } else {
+        Err(refused())
     }
 }
 
 /// Load the request's databases: inline facts texts (`"dbs"`) and/or facts
-/// files (`"db_files"`), in that order.
+/// files (`"db_files"`, confined by [`confined_db_file`]), in that order.
 fn load_request_databases(req: &Value) -> Result<Vec<Structure>, ServeError> {
     let mut dbs = Vec::new();
     if let Some(items) = req.get("dbs") {
@@ -784,7 +834,7 @@ fn load_request_databases(req: &Value) -> Result<Vec<Structure>, ServeError> {
             let path = item
                 .as_str()
                 .ok_or_else(|| ServeError::Request("`db_files` entries must be strings".into()))?;
-            let text = std::fs::read_to_string(path)
+            let text = std::fs::read_to_string(confined_db_file(path)?)
                 .map_err(|e| ServeError::Database(format!("cannot read `{path}`: {e}")))?;
             dbs.push(parse_facts(&text).map_err(|e| ServeError::Database(format!("{path}: {e}")))?);
         }

@@ -14,6 +14,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example reports its own wall times; no estimate reads them"
+)]
 fn main() {
     // ϕ(x) = ∃y ∃z F(x,y) ∧ F(x,z) ∧ y ≠ z — "x has two distinct friends".
     let q = parse_query("ans(x) :- F(x, y), F(x, z), y != z").unwrap();
